@@ -3,8 +3,8 @@
 Verbs: check, decompose, dualize, interpolate, truthtable, oracle.
 Exit codes are stable across verbs: 0 for success/valid, 1 for a semantic
 negative (invalid, non-member, failed interpolation), 2 for usage or
-parse errors.  Every verb accepts --json for machine-readable output,
-one object per line.
+parse errors or input nested too deeply.  Every verb accepts --json for
+machine-readable output, one object per line.
 """
 
 from __future__ import annotations
@@ -359,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry_point() -> None:

@@ -2,14 +2,20 @@
 
 A logic standard is a pair of designated-value sets: one for premises,
 one for conclusions.  K3 and LP use the same set on both sides; ST and TS
-mix strict and tolerant designation.  Validity and antivalidity are both
-decided by enumerating the finitely many valuations over the atoms that
-actually occur in the inference.
+mix strict and tolerant designation.
+
+Validity and antivalidity return the lexicographically first countermodel
+(sorted variables, 0 < 1/2 < 1).  Where neither side of a countermodel may
+be 1/2 (ST-validity, TS-antivalidity), countermodels are closed under
+sharpening, so the first is classical and only {0,1}^n is walked.  Where
+both sides may be 1/2 (TS-validity, ST-antivalidity), they are closed under
+moving values to 1/2: all-1/2 decides, and the first countermodel sets each
+variable to 0 if that stays a countermodel, else 1/2, in at most n + 1
+evaluations.  K3 and LP walk all 3^n valuations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,7 +34,10 @@ from .formula import (
     LAM,
 )
 from .semantics import (
+    HALF,
     ONE,
+    VALUE_ORDER,
+    ZERO,
     TruthValue,
     Valuation,
     enumerate_valuations,
@@ -75,18 +84,33 @@ def antisatisfies(logic: LogicStandard, v: Valuation, inf: Inference) -> bool:
     return True
 
 
-def valid(logic: LogicStandard, inf: Inference) -> Verdict:
-    for v in enumerate_valuations(inf.atoms()):
-        if not satisfies(logic, v, inf):
+def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Verdict:
+    """The search the module docstring describes, for validity or antivalidity."""
+    holds = antisatisfies if anti else satisfies
+    half_in_premises = (HALF in logic.premise_designated) != anti
+    half_in_conclusions = (HALF in logic.conclusion_designated) == anti
+    if half_in_premises and half_in_conclusions:
+        values = dict.fromkeys(sorted(inf.variables()), HALF)
+        if holds(logic, Valuation(values), inf):
+            return Verdict(True)
+        for name in values:
+            values[name] = ZERO
+            if holds(logic, Valuation(values), inf):
+                values[name] = HALF
+        return Verdict(False, Valuation(values))
+    space = VALUE_ORDER if half_in_premises or half_in_conclusions else (ZERO, ONE)
+    for v in enumerate_valuations(inf.atoms(), space):
+        if not holds(logic, v, inf):
             return Verdict(False, v)
     return Verdict(True)
+
+
+def valid(logic: LogicStandard, inf: Inference) -> Verdict:
+    return _first_countermodel(logic, inf, anti=False)
 
 
 def antivalid(logic: LogicStandard, inf: Inference) -> Verdict:
-    for v in enumerate_valuations(inf.atoms()):
-        if not antisatisfies(logic, v, inf):
-            return Verdict(False, v)
-    return Verdict(True)
+    return _first_countermodel(logic, inf, anti=True)
 
 
 def is_antitheorem(logic: LogicStandard, gamma: Iterable[Formula]) -> bool:
@@ -112,13 +136,7 @@ def classically_valid(inf: Inference) -> bool:
     Meaningful on the lambda-free fragment, where it coincides with
     ST-validity.
     """
-    names = sorted(inf.variables())
-    for values in itertools.product((TruthValue.ZERO, TruthValue.ONE), repeat=len(names)):
-        v = Valuation(dict(zip(names, values)))
-        if all(eval_formula(g, v) == ONE for g in inf.premises):
-            if not any(eval_formula(d, v) == ONE for d in inf.conclusions):
-                return False
-    return True
+    return all(satisfies(K3, v, inf) for v in enumerate_valuations(inf.atoms(), (ZERO, ONE)))
 
 
 def _sample_pool(formulas: Iterable[Formula]) -> tuple[list[Formula], Formula]:

@@ -29,13 +29,11 @@ from .formula import (
     contains_lambda,
     disjoin,
     fresh_variable,
-    is_variable_atom,
     BOT,
     TOP,
     LAM,
 )
 from .semantics import (
-    HALF,
     ONE,
     ZERO,
     Valuation,
@@ -181,7 +179,8 @@ def st_connecting_formula(inf: Inference) -> Union[ProductWitness, Decomposition
 
 
 def _constant_value(f: Formula, target) -> bool:
-    return all(eval_formula(f, v) == target for v in enumerate_valuations(atoms(f)))
+    """The all-1/2 valuation lies below every other, so a classical value there is constant."""
+    return eval_formula(f, all_half_valuation()) == target
 
 
 def ts_sum_decision(inf: Inference) -> TsSumDecision:
@@ -238,19 +237,12 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
         assert verdict.countermodel is not None
         return DecompositionFailure(verdict.countermodel)
 
-    premise_atoms = atoms_of_set(inf.premises)
-    lp_satisfiable = any(
-        all(eval_formula(g, v) != ZERO for g in inf.premises)
-        for v in enumerate_valuations(premise_atoms)
-    )
+    lp_satisfiable = not any(_constant_value(g, ZERO) for g in inf.premises)
     if not lp_satisfiable:
         connector: Formula = BOT
     else:
         conclusion_atoms = atoms_of_set(inf.conclusions)
-        always_strict = all(
-            any(eval_formula(d, v) == ONE for d in inf.conclusions)
-            for v in enumerate_valuations(conclusion_atoms)
-        )
+        always_strict = any(_constant_value(d, ONE) for d in inf.conclusions)
         if always_strict:
             connector = TOP
         else:

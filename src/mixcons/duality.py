@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .formula import And, Bot, Formula, Inference, Lambda, Not, Or, Top, Var, BOT, TOP
-from .consequence import K3, LP, ST, TS, antivalid, valid
+from .consequence import K3, LP, ST, STANDARDS, TS, antivalid, valid
 from .decomposition import (
     ProductWitness,
     st_connecting_formula,
@@ -74,7 +74,7 @@ def invert(inf: Inference) -> Inference:
 
 def direct_membership(target: str, inf: Inference) -> bool:
     """Membership in one of the eight validity/antivalidity sets, directly."""
-    logic = {"K3": K3, "LP": LP, "ST": ST, "TS": TS}[target[:-1]]
+    logic = STANDARDS[target[:-1]]
     if target.endswith("+"):
         return valid(logic, inf).valid
     return antivalid(logic, inf).valid

@@ -18,7 +18,6 @@ from .formula import (
     Atom,
     Bot,
     Formula,
-    Lambda,
     Not,
     Or,
     Top,
@@ -36,7 +35,7 @@ class TruthValue(enum.IntEnum):
     ONE = 2
 
     def complement(self) -> "TruthValue":
-        return TruthValue(2 - self.value)
+        return _NEGATION[self]
 
     def __str__(self) -> str:
         return {0: "0", 1: "1/2", 2: "1"}[self.value]
@@ -47,6 +46,8 @@ HALF = TruthValue.HALF
 ONE = TruthValue.ONE
 
 VALUE_ORDER = (ZERO, HALF, ONE)
+# Complements indexed by value: a tuple lookup, not an enum construction.
+_NEGATION = (ONE, HALF, ZERO)
 
 
 class UnmappedVariableError(KeyError):
@@ -68,6 +69,9 @@ class Valuation:
     default: Optional[TruthValue] = None
 
     def value_of(self, atom: Atom) -> TruthValue:
+        value = self.assignments.get(atom)
+        if value is not None:
+            return value
         if atom == TOP_ATOM:
             return ONE
         if atom == BOT_ATOM:
@@ -86,31 +90,36 @@ class Valuation:
 
 
 def eval_formula(f: Formula, v: Valuation) -> TruthValue:
+    # Most frequent node kinds first; min and max written out, because the
+    # builtins compare enum members several times slower.
     if isinstance(f, Var):
         return v.value_of(f.name)
+    if isinstance(f, Not):
+        return _NEGATION[eval_formula(f.sub, v)]
+    if isinstance(f, And):
+        x, y = eval_formula(f.left, v), eval_formula(f.right, v)
+        return x if x <= y else y
+    if isinstance(f, Or):
+        x, y = eval_formula(f.left, v), eval_formula(f.right, v)
+        return x if x >= y else y
     if isinstance(f, Top):
         return ONE
     if isinstance(f, Bot):
         return ZERO
-    if isinstance(f, Lambda):
-        return HALF
-    if isinstance(f, Not):
-        return eval_formula(f.sub, v).complement()
-    if isinstance(f, And):
-        return min(eval_formula(f.left, v), eval_formula(f.right, v))
-    return max(eval_formula(f.left, v), eval_formula(f.right, v))
+    return HALF  # Lambda
 
 
-def enumerate_valuations(domain: Iterable[Atom]) -> Iterator[Valuation]:
-    """All 3^n valuations over the variables of `domain`.
+def enumerate_valuations(domain: Iterable[Atom],
+                         values: tuple[TruthValue, ...] = VALUE_ORDER) -> Iterator[Valuation]:
+    """All |values|^n valuations over the variables of `domain`.
 
     Constants in the domain are ignored.  Order is lexicographic by sorted
-    variable name, with value order 0 < 1/2 < 1, so countermodel choice is
-    deterministic.
+    variable name, with `values` in the order given (by default all three,
+    0 < 1/2 < 1), so countermodel choice is deterministic.
     """
     names = sorted(a for a in set(domain) if is_variable_atom(a))
-    for values in itertools.product(VALUE_ORDER, repeat=len(names)):
-        yield Valuation(dict(zip(names, values)))
+    for combo in itertools.product(values, repeat=len(names)):
+        yield Valuation(dict(zip(names, combo)))
 
 
 def is_partial_sharpening(v_star: Valuation, v: Valuation, sigma: Iterable[Atom]) -> bool:

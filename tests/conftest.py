@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 from mixcons.formula import And, Inference, Not, Or, Var, BOT, LAM, TOP
 
 variable_names = st.sampled_from(("p", "q", "r"))
+wide_variable_names = st.sampled_from(("p", "q", "r", "s", "t"))
 
 
 def _formulas(leaves):
@@ -18,6 +19,7 @@ def _formulas(leaves):
 
 
 formulas = _formulas(st.one_of(st.sampled_from((TOP, BOT, LAM)), variable_names.map(Var)))
+wide_formulas = _formulas(st.one_of(st.sampled_from((TOP, BOT, LAM)), wide_variable_names.map(Var)))
 lambda_free_formulas = _formulas(st.one_of(st.sampled_from((TOP, BOT)), variable_names.map(Var)))
 
 
@@ -31,4 +33,8 @@ inferences = st.tuples(
 
 lambda_free_inferences = st.tuples(
     st.lists(lambda_free_formulas, max_size=2), st.lists(lambda_free_formulas, max_size=2)
+).map(_to_inference)
+
+wide_inferences = st.tuples(
+    st.lists(wide_formulas, max_size=3), st.lists(wide_formulas, max_size=3)
 ).map(_to_inference)

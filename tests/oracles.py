@@ -85,3 +85,23 @@ def brute_equivalent(f, g) -> bool:
         if brute_eval(f, env) != brute_eval(g, env):
             return False
     return True
+
+
+def brute_first_countermodel(logic_name: str, inf: Inference, anti: bool = False):
+    """First countermodel over all 3^n environments, as a name -> Fraction dict.
+
+    Environments are visited in lexicographic order of the sorted variable
+    names with 0 < 1/2 < 1; None when there is no countermodel.
+    """
+    d1, d2 = DESIGNATED[logic_name]
+    names = sorted(set().union(*(formula_vars(f) for f in inf.premises + inf.conclusions), set()))
+    for combo in itertools.product(VALUES, repeat=len(names)):
+        env = dict(zip(names, combo))
+        premises = [brute_eval(g, env) in d1 for g in inf.premises]
+        conclusions = [brute_eval(d, env) in d2 for d in inf.conclusions]
+        if anti:
+            if not any(premises) and all(conclusions):
+                return env
+        elif all(premises) and not any(conclusions):
+            return env
+    return None

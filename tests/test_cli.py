@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mixcons
 from mixcons.cli import main
 
 
@@ -221,3 +225,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestDeepInput:
+    """Input too deep for the recursive parser, printer or evaluator is a usage error."""
+
+    SRC = os.path.dirname(os.path.dirname(mixcons.__file__))
+
+    @pytest.mark.parametrize(
+        "sequent",
+        [
+            "~" * 5000 + "p => p",
+            "(" * 3000 + "p" + ")" * 3000 + " => p",
+            " & ".join(["p"] * 20000) + " => p",
+        ],
+        ids=["negations", "parentheses", "flat-conjunction"],
+    )
+    def test_exit_usage_without_traceback(self, sequent):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", "from mixcons.cli import entry_point; entry_point()",
+             "check", "--logic", "st", sequent],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.strip() == "input nested too deeply"

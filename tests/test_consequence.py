@@ -1,4 +1,7 @@
-from hypothesis import given
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
 
 from mixcons.formula import Inference, Var, parse_formula, parse_sequent
 from mixcons.semantics import HALF, ONE, ZERO, Valuation
@@ -21,8 +24,8 @@ from mixcons.consequence import (
     verdict_record,
 )
 
-from conftest import formulas, inferences, lambda_free_inferences
-from oracles import brute_antivalid, brute_valid
+from conftest import formulas, inferences, lambda_free_inferences, wide_inferences
+from oracles import brute_antivalid, brute_first_countermodel, brute_valid
 
 MIXED_EXAMPLE = parse_sequent("p | (q & ~q) => p & (q | ~q)")
 
@@ -115,6 +118,76 @@ class TestAntivalidity:
             verdict = antivalid(logic, inf)
             if not verdict.valid:
                 assert not antisatisfies(logic, verdict.countermodel, inf)
+
+
+def _decide_like_brute(name, inf, anti):
+    """(verdict, countermodel as name -> Fraction) from the library."""
+    verdict = (antivalid if anti else valid)(STANDARDS[name], inf)
+    if verdict.countermodel is None:
+        return verdict.valid, None
+    return verdict.valid, {k: Fraction(int(v), 2) for k, v in verdict.countermodel.assignments.items()}
+
+
+MODES = [(name, anti) for name in ("K3", "LP", "ST", "TS") for anti in (False, True)]
+
+
+class TestFirstCountermodel:
+    """ST/TS search only 2^n or n + 1 valuations; the answer must be the 3^n walk's."""
+
+    @settings(max_examples=200)
+    @given(wide_inferences)
+    def test_matches_brute_force_walk(self, inf):
+        for name, anti in MODES:
+            expected = brute_first_countermodel(name, inf, anti)
+            assert _decide_like_brute(name, inf, anti) == (expected is None, expected)
+
+    @pytest.mark.parametrize("text", ["=>", "T => F", "L => L", "L =>", "=> L", "T, L => F", "F => L", "L => T"])
+    @pytest.mark.parametrize("name,anti", MODES)
+    def test_no_variables(self, text, name, anti):
+        inf = parse_sequent(text)
+        expected = brute_first_countermodel(name, inf, anti)
+        assert _decide_like_brute(name, inf, anti) == (expected is None, expected)
+        if expected is not None:
+            assert expected == {}
+
+    @pytest.mark.parametrize("text", ["p => q & L", "p | L => q", "p, q | L => ~q", "q, r => L & p, ~r"])
+    def test_st_with_lambda_first_countermodel_is_classical(self, text):
+        inf = parse_sequent(text)
+        verdict = valid(ST, inf)
+        assert not verdict.valid
+        assert HALF not in verdict.countermodel.assignments.values()
+        expected = brute_first_countermodel("ST", inf)
+        assert _decide_like_brute("ST", inf, False) == (False, expected)
+
+    def test_st_lambda_example(self):
+        verdict = valid(ST, parse_sequent("p => q & L"))
+        assert verdict.countermodel.assignments == {"p": ONE, "q": ZERO}
+
+    @pytest.mark.parametrize("text", ["p & F =>", "=> q | T", "p & ~(q | T) =>", "=> ~(p & F)"])
+    def test_ts_valid_with_an_empty_side(self, text):
+        inf = parse_sequent(text)
+        assert valid(TS, inf).valid
+        assert brute_valid("TS", inf)
+
+    def test_ts_invalid_with_an_empty_side(self):
+        assert valid(TS, parse_sequent("p, q =>")).countermodel.assignments == {"p": HALF, "q": HALF}
+        assert valid(TS, parse_sequent("=> p | ~q")).countermodel.assignments == {"p": ZERO, "q": HALF}
+
+    @pytest.mark.parametrize("text", [
+        "p, q => r", "T, p => q & F | r", "~(q & r) | L, p => s", "p & q, q & r => r | s, p",
+        "s, ~p => (q | ~r) & p", "p => T, q", "F | p, ~q | r => q & ~s", "r & ~r, p => p",
+    ])
+    @pytest.mark.parametrize("name,anti", MODES)
+    def test_formulas_missing_some_variables(self, text, name, anti):
+        inf = parse_sequent(text)
+        expected = brute_first_countermodel(name, inf, anti)
+        assert _decide_like_brute(name, inf, anti) == (expected is None, expected)
+
+    def test_disguised_constantly_false_premise(self):
+        inf = parse_sequent("(p | F) & ~(p | T), q => r")
+        assert valid(TS, inf).valid
+        assert brute_valid("TS", inf)
+        assert antivalid(ST, Inference(inf.conclusions, inf.premises)).valid
 
 
 class TestTheorems:

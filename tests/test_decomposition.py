@@ -150,6 +150,12 @@ class TestTsSum:
         assert decision.member
         assert isinstance(decision.reason, AlwaysOneConclusion)
 
+    def test_disguised_constant_false_premise(self):
+        decision = ts_sum_decision(parse_sequent("(p | F) & ~(p | T), q => r"))
+        assert decision.member
+        assert isinstance(decision.reason, AlwaysZeroPremise)
+        assert print_formula(decision.reason.formula) == "(p | F) & ~(p | T)"
+
     def test_refutation_for_reflexivity(self):
         decision = ts_sum_decision(parse_sequent("p => p"))
         assert not decision.member
@@ -188,6 +194,16 @@ class TestLpK3Product:
         witness = lp_k3_connector_lambda_free(parse_sequent("F & p => q"))
         assert isinstance(witness, ProductWitness)
         assert witness.connector == BOT
+
+    def test_lambda_free_disguised_bot_case(self):
+        witness = lp_k3_connector_lambda_free(parse_sequent("(p | F) & ~(p | T) => q"))
+        assert isinstance(witness, ProductWitness)
+        assert witness.connector == BOT
+
+    def test_lambda_free_disguised_top_case(self):
+        witness = lp_k3_connector_lambda_free(parse_sequent("p => ~(q & F) & (r | T)"))
+        assert isinstance(witness, ProductWitness)
+        assert witness.connector == TOP
 
     def test_lambda_free_top_case(self):
         witness = lp_k3_connector_lambda_free(parse_sequent("p => q | T"))

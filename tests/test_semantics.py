@@ -58,6 +58,14 @@ class TestEval:
     def test_lambda_constant(self):
         assert eval_formula(parse_formula("L"), Valuation({})) == HALF
 
+    def test_value_of_constants_mapped_variables_and_default(self):
+        from mixcons.formula import BOT_ATOM, LAM_ATOM, TOP_ATOM
+
+        for v in (Valuation({"p": ZERO}), Valuation({"p": ZERO}, default=HALF), all_half_valuation()):
+            assert [v.value_of(a) for a in (TOP_ATOM, BOT_ATOM, LAM_ATOM)] == [ONE, ZERO, HALF]
+        assert Valuation({"p": ZERO}, default=ONE).value_of("p") == ZERO
+        assert Valuation({"p": ZERO}, default=ONE).value_of("q") == ONE
+
     def test_unmapped_variable_is_named(self):
         with pytest.raises(UnmappedVariableError, match="q"):
             eval_formula(parse_formula("p & q"), _val(p=ONE))
