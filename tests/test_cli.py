@@ -7,6 +7,7 @@ import pytest
 
 import mixcons
 from mixcons.cli import main
+from mixcons.oracle import OracleReport, PropertyResult
 
 
 def run(capsys, *argv):
@@ -251,3 +252,184 @@ class TestDeepInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.strip() == "input nested too deeply"
+
+
+def _json_out(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+README = "p | (q & ~q) => p & (q | ~q)"
+_TT_PQ = [
+    ("0", "0", "0"), ("0", "1/2", "0"), ("0", "1", "0"),
+    ("1/2", "0", "0"), ("1/2", "1/2", "1/2"), ("1/2", "1", "1/2"),
+    ("1", "0", "0"), ("1", "1/2", "1/2"), ("1", "1", "1"),
+]
+_ORACLE_PROPERTIES = [
+    "parse/print round-trip",
+    "classical values stable under sharpening",
+    "all-1/2 valuation maximality",
+    "K3-DNF equivalence",
+    "ST product witness",
+    "TS sum membership",
+    "validity inclusion lattice",
+    "operational duality",
+    "structural duality",
+    "relative sum extracts antitheorems/theorems",
+]
+ORACLE_ARGV = ["oracle", "--max-vars", "1", "--max-depth", "1", "--samples", "2", "--seed", "5"]
+
+# (argv, exit code, exact text stdout, exact --json stdout)
+GOLDEN = {
+    "check-valid": (
+        ["check", "--logic", "st", README], 0,
+        "VALID\n",
+        _json_out({"logic": "ST", "sequent": "p | q & ~q => p & (q | ~q)", "valid": True,
+                   "countermodel": None}),
+    ),
+    "check-invalid-two-vars": (
+        ["check", "--logic", "k3", "p => q | ~q"], 1,
+        "INVALID\ncountermodel: p=1 q=1/2\n",
+        _json_out({"logic": "K3", "sequent": "p => q | ~q", "valid": False,
+                   "countermodel": {"p": "1", "q": "1/2"}}),
+    ),
+    "check-antivalid": (
+        ["check", "--logic", "lp", "--anti", "p => p & q"], 0,
+        "ANTIVALID\n",
+        _json_out({"logic": "LP", "sequent": "p => p & q", "antivalid": True, "countermodel": None}),
+    ),
+    "check-not-antivalid": (
+        ["check", "--logic", "st", "--anti", "p => p & q"], 1,
+        "NOT-ANTIVALID\ncountermodel: p=1/2 q=1/2\n",
+        _json_out({"logic": "ST", "sequent": "p => p & q", "antivalid": False,
+                   "countermodel": {"p": "1/2", "q": "1/2"}}),
+    ),
+    "check-empty-countermodel": (
+        ["check", "--logic", "k3", "=>"], 1,
+        "INVALID\ncountermodel: \n",
+        _json_out({"logic": "K3", "sequent": "=>", "valid": False, "countermodel": {}}),
+    ),
+    "st-product-member": (
+        ["decompose", "--mode", "st-product", README], 0,
+        "MEMBER connector: p & ~q | p | p & q\n"
+        "check K3: p | q & ~q => p & ~q | p | p & q -> valid\n"
+        "check LP: p & ~q | p | p & q => p & (q | ~q) -> valid\n",
+        _json_out({"sequent": "p | q & ~q => p & (q | ~q)", "mode": "st-product",
+                   "result": {"member": True, "connector": "p & ~q | p | p & q"},
+                   "checks": [
+                       {"logic": "K3", "sequent": "p | q & ~q => p & ~q | p | p & q", "valid": True},
+                       {"logic": "LP", "sequent": "p & ~q | p | p & q => p & (q | ~q)", "valid": True},
+                   ]}),
+    ),
+    "st-product-non-member": (
+        ["decompose", "--mode", "st-product", "p | ~p => p & ~p"], 1,
+        "NOT-MEMBER\ncountermodel: p=0\n",
+        _json_out({"sequent": "p | ~p => p & ~p", "mode": "st-product",
+                   "result": {"member": False, "countermodel": {"p": "0"}}, "checks": []}),
+    ),
+    "ts-sum-false-premise": (
+        ["decompose", "--mode", "ts-sum", "p & F => q"], 0,
+        "MEMBER always-false-premise: p & F\n",
+        _json_out({"sequent": "p & F => q", "mode": "ts-sum",
+                   "result": {"member": True, "reason": "always-false-premise", "formula": "p & F"},
+                   "checks": []}),
+    ),
+    "ts-sum-true-conclusion": (
+        ["decompose", "--mode", "ts-sum", "p => q | T"], 0,
+        "MEMBER always-true-conclusion: q | T\n",
+        _json_out({"sequent": "p => q | T", "mode": "ts-sum",
+                   "result": {"member": True, "reason": "always-true-conclusion", "formula": "q | T"},
+                   "checks": []}),
+    ),
+    "ts-sum-non-member": (
+        ["decompose", "--mode", "ts-sum", "p => p"], 1,
+        "NOT-MEMBER pivot: p0\n"
+        "left check fails under: p=1/2 p0=0\n"
+        "right check fails under: p=1/2 p0=1\n",
+        _json_out({"sequent": "p => p", "mode": "ts-sum",
+                   "result": {"member": False, "pivot": "p0",
+                              "left_fail": {"p": "1/2", "p0": "0"},
+                              "right_fail": {"p": "1/2", "p0": "1"}},
+                   "checks": []}),
+    ),
+    "lpk3-product-member": (
+        ["decompose", "--mode", "lpk3-product", "p => q | T"], 0,
+        "MEMBER connector: T\ncheck LP: p => T -> valid\ncheck K3: T => q | T -> valid\n",
+        _json_out({"sequent": "p => q | T", "mode": "lpk3-product",
+                   "result": {"member": True, "connector": "T"},
+                   "checks": [{"logic": "LP", "sequent": "p => T", "valid": True},
+                              {"logic": "K3", "sequent": "T => q | T", "valid": True}]}),
+    ),
+    "lpk3-product-non-member": (
+        ["decompose", "--mode", "lpk3-product", "p | ~p => p & ~p"], 1,
+        "NOT-MEMBER\ncountermodel: p=0\n",
+        _json_out({"sequent": "p | ~p => p & ~p", "mode": "lpk3-product",
+                   "result": {"member": False, "countermodel": {"p": "0"}}, "checks": []}),
+    ),
+    "dualize-formula": (
+        ["dualize", "--map", "op", "p & (q | ~q)"], 0,
+        "p | q & ~q\n",
+        _json_out({"input": "p & (q | ~q)", "map": "op", "output": "p | q & ~q"}),
+    ),
+    "dualize-sequent": (
+        ["dualize", "--map", "invert", "p => q"], 0,
+        "q => p\n",
+        _json_out({"input": "p => q", "map": "invert", "output": "q => p"}),
+    ),
+    "interpolate-success": (
+        ["interpolate", "p | (q & ~q) => p & (r | ~r)"], 0,
+        "interpolant: p\ncheck K3: p | q & ~q => p -> valid\ncheck LP: p => p & (r | ~r) -> valid\n",
+        _json_out({"sequent": "p | q & ~q => p & (r | ~r)", "mode": "milne",
+                   "result": {"member": True, "interpolant": "p"},
+                   "checks": [{"logic": "K3", "sequent": "p | q & ~q => p", "valid": True},
+                              {"logic": "LP", "sequent": "p => p & (r | ~r)", "valid": True}]}),
+    ),
+    "interpolate-failure": (
+        ["interpolate", "p => q | ~q"], 1,
+        "FAILURE: tautology\n",
+        _json_out({"sequent": "p => q | ~q", "mode": "milne",
+                   "result": {"member": False, "reason": "tautology"}, "checks": []}),
+    ),
+    "truthtable-constant": (
+        ["truthtable", "L"], 0,
+        "1/2\n",
+        _json_out({"valuation": {}, "value": "1/2"}),
+    ),
+    "truthtable-two-vars": (
+        ["truthtable", "p & q"], 0,
+        "".join(f"p={p} q={q} | {value}\n" for p, q, value in _TT_PQ),
+        _json_out(*({"valuation": {"p": p, "q": q}, "value": value} for p, q, value in _TT_PQ)),
+    ),
+    "oracle-pass": (
+        ORACLE_ARGV, 0,
+        "".join(f"PASS {name} (2 samples)\n" for name in _ORACLE_PROPERTIES),
+        _json_out(*({"property": name, "samples": 2, "passed": True, "counterexample": None}
+                    for name in _ORACLE_PROPERTIES)),
+    ),
+}
+
+
+class TestGolden:
+    """Exact exit code and stdout of every record kind, in text and --json."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output(self, capsys, name, as_json):
+        argv, expected_code, text_out, json_out = GOLDEN[name]
+        if as_json:
+            argv = argv + ["--json"] if argv[0] == "oracle" else argv[:-1] + ["--json", argv[-1]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (expected_code, json_out if as_json else text_out, "")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_oracle_failure(self, capsys, monkeypatch, as_json):
+        report = OracleReport([
+            PropertyResult("ST product witness", 3, True),
+            PropertyResult("TS sum membership", 3, False, "p => p"),
+        ])
+        monkeypatch.setattr("mixcons.cli.run_oracle", lambda *bounds: report)
+        code, out, err = run(capsys, "oracle", *(["--json"] if as_json else []))
+        expected = _json_out(
+            {"property": "ST product witness", "samples": 3, "passed": True, "counterexample": None},
+            {"property": "TS sum membership", "samples": 3, "passed": False, "counterexample": "p => p"},
+        ) if as_json else "PASS ST product witness (3 samples)\nFAIL TS sum membership: p => p\n"
+        assert (code, out, err) == (1, expected, "")
