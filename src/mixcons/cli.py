@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Verbs: check, decompose, dualize, interpolate, truthtable, oracle.
-Exit codes are stable across verbs: 0 for success/valid, 1 for a semantic
-negative (invalid, non-member, failed interpolation), 2 for usage or
-parse errors or input nested too deeply.  Every verb accepts --json for
-machine-readable output, one object per line.
+Each verb builds one record per answer: the object that --json prints,
+one per line.  Text mode prints a rendering of the same record, so the
+two outputs carry the same fields.  Exit codes are stable across verbs:
+0 for success/valid, 1 for a semantic negative (invalid, non-member,
+failed interpolation), 2 for usage or parse errors or input nested too
+deeply.
 """
 
 from __future__ import annotations
@@ -13,19 +15,20 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .formula import (
-    Formula,
+    CONSTANT_ATOMS,
     Inference,
     ParseError,
+    atoms,
     parse_formula,
     parse_sequent,
     print_formula,
     print_sequent,
 )
-from .semantics import enumerate_valuations, eval_formula, render_valuation, valuation_record
-from .consequence import STANDARDS, Verdict, antivalid, valid, verdict_record
+from .semantics import enumerate_valuations, eval_formula, valuation_record
+from .consequence import K3, LP, STANDARDS, antivalid, valid, verdict_record
 from .decomposition import (
     AlwaysZeroPremise,
     DecompositionFailure,
@@ -47,265 +50,182 @@ EXIT_USAGE = 2
 
 DEFAULT_TABLE_CAP = 6
 
+# What a verb returns: exit code, its records, and the text rendering of one record.
+Answer = tuple[int, Iterable[dict], Callable[[dict], str]]
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record))
-
-
-def _parse_error(err: ParseError) -> int:
-    print(f"parse error: {err}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _check_entry(logic_name: str, inf: Inference, verdict: Verdict) -> dict:
-    return {"logic": logic_name, "sequent": print_sequent(inf), "valid": verdict.valid}
+PRODUCTS = {
+    "st-product": (st_connecting_formula, "K3", "LP"),
+    "lpk3-product": (lp_k3_connector_lambda_free, "LP", "K3"),
+}
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        inf = parse_sequent(args.sequent)
-    except ParseError as err:
-        return _parse_error(err)
+class UsageError(Exception):
+    """Input the argument parser accepts but the verb cannot answer (exit 2)."""
+
+
+def _valuation_text(record: dict[str, str]) -> str:
+    """`p=1 q=1/2`: a valuation record, already sorted by variable name."""
+    return " ".join(f"{name}={value}" for name, value in record.items())
+
+
+def _verdict_text(r: dict) -> str:
+    if "antivalid" in r:
+        label = "ANTIVALID" if r["antivalid"] else "NOT-ANTIVALID"
+    else:
+        label = "VALID" if r["valid"] else "INVALID"
+    if r["countermodel"] is None:
+        return label
+    return f"{label}\ncountermodel: {_valuation_text(r['countermodel'])}"
+
+
+def _result_text(r: dict) -> str:
+    """Rendering of a decompose or interpolate record: head line(s), then one line per check."""
+    result = r["result"]
+    if "connector" in result:
+        lines = [f"MEMBER connector: {result['connector']}"]
+    elif "formula" in result:
+        lines = [f"MEMBER {result['reason']}: {result['formula']}"]
+    elif "countermodel" in result:
+        lines = ["NOT-MEMBER", f"countermodel: {_valuation_text(result['countermodel'])}"]
+    elif "pivot" in result:
+        lines = [
+            f"NOT-MEMBER pivot: {result['pivot']}",
+            f"left check fails under: {_valuation_text(result['left_fail'])}",
+            f"right check fails under: {_valuation_text(result['right_fail'])}",
+        ]
+    elif "interpolant" in result:
+        lines = [f"interpolant: {result['interpolant']}"]
+    else:
+        lines = [f"FAILURE: {result['reason']}"]
+    for c in r["checks"]:
+        lines.append(f"check {c['logic']}: {c['sequent']} -> {'valid' if c['valid'] else 'invalid'}")
+    return "\n".join(lines)
+
+
+def _row_text(r: dict) -> str:
+    prefix = _valuation_text(r["valuation"])
+    return f"{prefix} | {r['value']}" if prefix else r["value"]
+
+
+def _oracle_text(r: dict) -> str:
+    if r["passed"]:
+        return f"PASS {r['property']} ({r['samples']} samples)"
+    return f"FAIL {r['property']}: {r['counterexample']}"
+
+
+def _record(inf: Inference, mode: str, result: dict, checks: Sequence[dict] = ()) -> dict:
+    return {"sequent": print_sequent(inf), "mode": mode, "result": result, "checks": list(checks)}
+
+
+def _witness_checks(inf: Inference, witness: ProductWitness, left_logic: str, right_logic: str) -> list[dict]:
+    halves = (
+        (left_logic, Inference(inf.premises, (witness.connector,)), witness.left_check),
+        (right_logic, Inference((witness.connector,), inf.conclusions), witness.right_check),
+    )
+    return [{"logic": logic, "sequent": print_sequent(half), "valid": v.valid} for logic, half, v in halves]
+
+
+def cmd_check(args: argparse.Namespace) -> Answer:
+    inf = parse_sequent(args.sequent)
     logic = STANDARDS[args.logic.upper()]
     verdict = antivalid(logic, inf) if args.anti else valid(logic, inf)
-    if args.json:
-        _emit(verdict_record(logic, inf, verdict, anti=args.anti))
-    else:
-        if args.anti:
-            label = "ANTIVALID" if verdict.valid else "NOT-ANTIVALID"
-        else:
-            label = "VALID" if verdict.valid else "INVALID"
-        print(label)
-        if verdict.countermodel is not None:
-            print(f"countermodel: {render_valuation(verdict.countermodel)}")
-    return EXIT_OK if verdict.valid else EXIT_NEGATIVE
+    record = verdict_record(logic, inf, verdict, anti=args.anti)
+    return EXIT_OK if verdict.valid else EXIT_NEGATIVE, [record], _verdict_text
 
 
-def _witness_report(inf: Inference, mode: str, witness: ProductWitness, left_logic: str, right_logic: str) -> dict:
-    connector = print_formula(witness.connector)
-    return {
-        "sequent": print_sequent(inf),
-        "mode": mode,
-        "result": {"member": True, "connector": connector},
-        "checks": [
-            _check_entry(left_logic, Inference(inf.premises, (witness.connector,)), witness.left_check),
-            _check_entry(right_logic, Inference((witness.connector,), inf.conclusions), witness.right_check),
-        ],
-    }
-
-
-def _print_witness(witness: ProductWitness, inf: Inference, left_logic: str, right_logic: str) -> None:
-    print(f"MEMBER connector: {print_formula(witness.connector)}")
-    left_inf = Inference(inf.premises, (witness.connector,))
-    right_inf = Inference((witness.connector,), inf.conclusions)
-    print(f"check {left_logic}: {print_sequent(left_inf)} -> {'valid' if witness.left_check.valid else 'invalid'}")
-    print(f"check {right_logic}: {print_sequent(right_inf)} -> {'valid' if witness.right_check.valid else 'invalid'}")
-
-
-def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        inf = parse_sequent(args.sequent)
-    except ParseError as err:
-        return _parse_error(err)
-
-    if args.mode == "st-product":
-        outcome = st_connecting_formula(inf)
-        if isinstance(outcome, ProductWitness):
-            if args.json:
-                _emit(_witness_report(inf, args.mode, outcome, "K3", "LP"))
-            else:
-                _print_witness(outcome, inf, "K3", "LP")
-            return EXIT_OK
-        if args.json:
-            _emit({
-                "sequent": print_sequent(inf),
-                "mode": args.mode,
-                "result": {"member": False, "countermodel": valuation_record(outcome.countermodel)},
-                "checks": [],
-            })
-        else:
-            print("NOT-MEMBER")
-            print(f"countermodel: {render_valuation(outcome.countermodel)}")
-        return EXIT_NEGATIVE
-
+def cmd_decompose(args: argparse.Namespace) -> Answer:
+    inf = parse_sequent(args.sequent)
     if args.mode == "ts-sum":
         decision = ts_sum_decision(inf)
+        reason = decision.reason
         if decision.member:
-            reason = decision.reason
             kind = "always-false-premise" if isinstance(reason, AlwaysZeroPremise) else "always-true-conclusion"
-            if args.json:
-                _emit({
-                    "sequent": print_sequent(inf),
-                    "mode": args.mode,
-                    "result": {"member": True, "reason": kind, "formula": print_formula(reason.formula)},
-                    "checks": [],
-                })
-            else:
-                print(f"MEMBER {kind}: {print_formula(reason.formula)}")
-            return EXIT_OK
-        refutation = decision.reason
-        assert isinstance(refutation, SumRefutation)
-        if args.json:
-            _emit({
-                "sequent": print_sequent(inf),
-                "mode": args.mode,
-                "result": {
-                    "member": False,
-                    "pivot": print_formula(refutation.pivot),
-                    "left_fail": valuation_record(refutation.left_fail),
-                    "right_fail": valuation_record(refutation.right_fail),
-                },
-                "checks": [],
-            })
+            result = {"member": True, "reason": kind, "formula": print_formula(reason.formula)}
         else:
-            print(f"NOT-MEMBER pivot: {print_formula(refutation.pivot)}")
-            print(f"left check fails under: {render_valuation(refutation.left_fail)}")
-            print(f"right check fails under: {render_valuation(refutation.right_fail)}")
-        return EXIT_NEGATIVE
+            assert isinstance(reason, SumRefutation)
+            result = {
+                "member": False,
+                "pivot": print_formula(reason.pivot),
+                "left_fail": valuation_record(reason.left_fail),
+                "right_fail": valuation_record(reason.right_fail),
+            }
+        return EXIT_OK if decision.member else EXIT_NEGATIVE, [_record(inf, args.mode, result)], _result_text
 
-    # lpk3-product
+    decide, left_logic, right_logic = PRODUCTS[args.mode]
     try:
-        outcome = lp_k3_connector_lambda_free(inf)
+        outcome = decide(inf)
     except LambdaNotAllowedError:
-        print(
+        raise UsageError(
             "lambda is not allowed in this mode; on the full language the "
-            "constant L connects any inference in the LP-then-K3 product",
-            file=sys.stderr,
+            "constant L connects any inference in the LP-then-K3 product"
         )
-        return EXIT_USAGE
-    if isinstance(outcome, ProductWitness):
-        if args.json:
-            _emit(_witness_report(inf, args.mode, outcome, "LP", "K3"))
-        else:
-            _print_witness(outcome, inf, "LP", "K3")
-        return EXIT_OK
-    if args.json:
-        _emit({
-            "sequent": print_sequent(inf),
-            "mode": args.mode,
-            "result": {"member": False, "countermodel": valuation_record(outcome.countermodel)},
-            "checks": [],
-        })
-    else:
-        print("NOT-MEMBER")
-        print(f"countermodel: {render_valuation(outcome.countermodel)}")
-    return EXIT_NEGATIVE
+    if isinstance(outcome, DecompositionFailure):
+        result = {"member": False, "countermodel": valuation_record(outcome.countermodel)}
+        return EXIT_NEGATIVE, [_record(inf, args.mode, result)], _result_text
+    result = {"member": True, "connector": print_formula(outcome.connector)}
+    checks = _witness_checks(inf, outcome, left_logic, right_logic)
+    return EXIT_OK, [_record(inf, args.mode, result, checks)], _result_text
 
 
-def cmd_dualize(args: argparse.Namespace) -> int:
+def cmd_dualize(args: argparse.Namespace) -> Answer:
     text = args.input
-    is_sequent = "=>" in text
-    try:
-        parsed = parse_sequent(text) if is_sequent else parse_formula(text)
-    except ParseError as err:
-        return _parse_error(err)
-
-    if isinstance(parsed, Formula):
-        if args.map != "op":
-            print(f"--map {args.map} requires a sequent", file=sys.stderr)
-            return EXIT_USAGE
-        output = print_formula(op_dual(parsed))
-    else:
+    if "=>" in text:
         transform = {"op": op_dual_inference, "neg": neg_dual_inference, "invert": invert}[args.map]
-        output = print_sequent(transform(parsed))
-
-    if args.json:
-        _emit({"input": text, "map": args.map, "output": output})
+        output = print_sequent(transform(parse_sequent(text)))
     else:
-        print(output)
-    return EXIT_OK
+        formula = parse_formula(text)
+        if args.map != "op":
+            raise UsageError(f"--map {args.map} requires a sequent")
+        output = print_formula(op_dual(formula))
+    return EXIT_OK, [{"input": text, "map": args.map, "output": output}], lambda r: r["output"]
 
 
-def cmd_interpolate(args: argparse.Namespace) -> int:
-    try:
-        inf = parse_sequent(args.sequent)
-    except ParseError as err:
-        return _parse_error(err)
+def cmd_interpolate(args: argparse.Namespace) -> Answer:
+    inf = parse_sequent(args.sequent)
     if len(inf.premises) != 1 or len(inf.conclusions) != 1:
-        print("interpolation needs exactly one premise and one conclusion", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("interpolation needs exactly one premise and one conclusion")
     phi, psi = inf.premises[0], inf.conclusions[0]
     outcome = milne_interpolant(phi, psi)
     if isinstance(outcome, MilneFailure):
         if outcome.reason == "lambda-present":
-            print("lambda is not allowed in interpolation inputs", file=sys.stderr)
-            return EXIT_USAGE
-        if args.json:
-            _emit({
-                "sequent": print_sequent(inf),
-                "mode": "milne",
-                "result": {"member": False, "reason": outcome.reason},
-                "checks": [],
-            })
-        else:
-            print(f"FAILURE: {outcome.reason}")
-        return EXIT_NEGATIVE
-    left = valid(STANDARDS["K3"], Inference((phi,), (outcome,)))
-    right = valid(STANDARDS["LP"], Inference((outcome,), (psi,)))
-    if args.json:
-        _emit({
-            "sequent": print_sequent(inf),
-            "mode": "milne",
-            "result": {"member": True, "interpolant": print_formula(outcome)},
-            "checks": [
-                _check_entry("K3", Inference((phi,), (outcome,)), left),
-                _check_entry("LP", Inference((outcome,), (psi,)), right),
-            ],
-        })
-    else:
-        print(f"interpolant: {print_formula(outcome)}")
-        print(f"check K3: {print_sequent(Inference((phi,), (outcome,)))} -> {'valid' if left.valid else 'invalid'}")
-        print(f"check LP: {print_sequent(Inference((outcome,), (psi,)))} -> {'valid' if right.valid else 'invalid'}")
-    return EXIT_OK
+            raise UsageError("lambda is not allowed in interpolation inputs")
+        return EXIT_NEGATIVE, [_record(inf, "milne", {"member": False, "reason": outcome.reason})], _result_text
+    left = valid(K3, Inference((phi,), (outcome,)))
+    right = valid(LP, Inference((outcome,), (psi,)))
+    witness = ProductWitness(outcome, left, right)
+    result = {"member": True, "interpolant": print_formula(outcome)}
+    return EXIT_OK, [_record(inf, "milne", result, _witness_checks(inf, witness, "K3", "LP"))], _result_text
 
 
-def cmd_truthtable(args: argparse.Namespace) -> int:
-    try:
-        f = parse_formula(args.formula)
-    except ParseError as err:
-        return _parse_error(err)
-    from .formula import atoms, CONSTANT_ATOMS
-
-    names = sorted(atoms(f) - CONSTANT_ATOMS)
-    if len(names) > args.max_vars:
-        print(
-            f"too many variables ({len(names)}); the cap is {args.max_vars} "
-            "(raise it with --max-vars)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    for v in enumerate_valuations(atoms(f)):
-        value = eval_formula(f, v)
-        if args.json:
-            _emit({"valuation": valuation_record(v) or {}, "value": str(value)})
-        else:
-            prefix = render_valuation(v)
-            print(f"{prefix} | {value}" if prefix else str(value))
-    return EXIT_OK
+def cmd_truthtable(args: argparse.Namespace) -> Answer:
+    f = parse_formula(args.formula)
+    count = len(atoms(f) - CONSTANT_ATOMS)
+    if count > args.max_vars:
+        raise UsageError(f"too many variables ({count}); the cap is {args.max_vars} (raise it with --max-vars)")
+    rows = (
+        {"valuation": valuation_record(v), "value": str(eval_formula(f, v))}
+        for v in enumerate_valuations(atoms(f))
+    )
+    return EXIT_OK, rows, _row_text
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> Answer:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("MIXCONS_SEED", "0"))
+        raw = os.environ.get("MIXCONS_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(f"MIXCONS_SEED must be an integer, got {raw!r}")
     try:
         report = run_oracle(args.max_vars, args.max_depth, args.samples, seed)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    for result in report.results:
-        if args.json:
-            _emit({
-                "property": result.name,
-                "samples": result.samples,
-                "passed": result.passed,
-                "counterexample": result.counterexample,
-            })
-        elif result.passed:
-            print(f"PASS {result.name} ({result.samples} samples)")
-        else:
-            print(f"FAIL {result.name}: {result.counterexample}")
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+        raise UsageError(str(err))
+    records = [
+        {"property": r.name, "samples": r.samples, "passed": r.passed, "counterexample": r.counterexample}
+        for r in report.results
+    ]
+    return EXIT_OK if report.ok else EXIT_NEGATIVE, records, _oracle_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,13 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, records, text = args.func(args)
+        for record in records:
+            print(json.dumps(record) if args.json else text(record))
+    except ParseError as err:
+        print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except UsageError as err:
+        print(err, file=sys.stderr)
+        return EXIT_USAGE
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 def entry_point() -> None:

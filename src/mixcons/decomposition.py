@@ -115,6 +115,18 @@ class TsMinusProduct:
     right_check: Optional[Verdict] = None
 
 
+def _classical_literals(v: Valuation, names: Iterable[str]) -> list[Formula]:
+    """`p` for each atom v makes 1 and `~p` for each it makes 0, in sorted order."""
+    literals: list[Formula] = []
+    for atom in sorted(names):
+        value = v.value_of(atom)
+        if value == ONE:
+            literals.append(atom_to_formula(atom))
+        elif value == ZERO:
+            literals.append(Not(atom_to_formula(atom)))
+    return literals
+
+
 def gamma_v_conjunction(gamma: Iterable[Formula], v: Valuation) -> Formula:
     """Conjunction of the literals classical under v, over the atoms of gamma.
 
@@ -129,13 +141,7 @@ def gamma_v_conjunction(gamma: Iterable[Formula], v: Valuation) -> Formula:
             raise PreconditionError(
                 f"premise not strictly true under the given valuation: {g!r}"
             )
-    literals: list[Formula] = []
-    for atom in sorted(atoms_of_set(gamma)):
-        value = v.value_of(atom)
-        if value == ONE:
-            literals.append(atom_to_formula(atom))
-        elif value == ZERO:
-            literals.append(Not(atom_to_formula(atom)))
+    literals = _classical_literals(v, atoms_of_set(gamma))
     assert literals, "some atom must be classical when all premises are strictly true"
     return conjoin(literals)
 
@@ -149,11 +155,14 @@ def k3_dnf(gamma: Iterable[Formula]) -> Formula:
     gamma = tuple(gamma)
     if not gamma:
         raise PreconditionError("gamma must be nonempty")
+    domain = atoms_of_set(gamma)
     disjuncts: list[Formula] = []
     seen: set[Formula] = set()
-    for v in enumerate_valuations(atoms_of_set(gamma)):
+    for v in enumerate_valuations(domain):
         if all(eval_formula(g, v) == ONE for g in gamma):
-            c = gamma_v_conjunction(gamma, v)
+            literals = _classical_literals(v, domain)
+            assert literals, "some atom must be classical when all premises are strictly true"
+            c = conjoin(literals)
             if c not in seen:
                 seen.add(c)
                 disjuncts.append(c)
@@ -285,14 +294,7 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
     for v in enumerate_valuations(atoms(phi)):
         if eval_formula(phi, v) != ONE:
             continue
-        literals: list[Formula] = []
-        for atom in sorted(shared):
-            value = v.value_of(atom)
-            if value == ONE:
-                literals.append(atom_to_formula(atom))
-            elif value == ZERO:
-                literals.append(Not(atom_to_formula(atom)))
-        disjunct = conjoin(literals) if literals else TOP
+        disjunct = conjoin(_classical_literals(v, shared))
         if disjunct not in seen:
             seen.add(disjunct)
             disjuncts.append(disjunct)

@@ -141,11 +141,6 @@ def dual_valuation(v: Valuation) -> Valuation:
     return Valuation(flipped, default)
 
 
-def render_valuation(v: Valuation) -> str:
-    """Countermodel rendering: `p=1 q=1/2`, sorted by variable name."""
-    return " ".join(f"{name}={v.assignments[name]}" for name in sorted(v.assignments))
-
-
 def valuation_record(v: Optional[Valuation]) -> Optional[dict[str, str]]:
     if v is None:
         return None

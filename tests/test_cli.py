@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import mixcons
 from mixcons.cli import main
@@ -220,12 +224,47 @@ class TestOracleVerb:
         assert code == 2
         assert err
 
+    def test_non_integer_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("MIXCONS_SEED", "abc")
+        code, out, err = run(capsys, "oracle", "--samples", "1")
+        assert (code, out) == (2, "")
+        assert err == "MIXCONS_SEED must be an integer, got 'abc'\n"
+        assert "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+STRING_VERBS = (
+    [["check", "--logic", logic, *anti] for logic in ("k3", "lp", "st", "ts") for anti in ([], ["--anti"])]
+    + [["decompose", "--mode", mode] for mode in ("st-product", "ts-sum", "lpk3-product")]
+    + [["dualize", "--map", m] for m in ("op", "neg", "invert")]
+    + [["interpolate"], ["truthtable"]]
+)
+
+
+class TestContract:
+    """Any text over a two-variable alphabet exits 0, 1 or 2 without a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        verb=st.sampled_from(STRING_VERBS),
+        as_json=st.booleans(),
+        text=st.text(alphabet="pq~&|()TFL, =>", max_size=30),
+    )
+    def test_exit_code_and_output(self, verb, as_json, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*verb, *(["--json"] if as_json else []), text])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if as_json:
+            for line in out.getvalue().splitlines():
+                json.loads(line)
 
 
 class TestDeepInput:
@@ -258,7 +297,7 @@ def _json_out(*records):
     return "".join(json.dumps(record) + "\n" for record in records)
 
 
-README = "p | (q & ~q) => p & (q | ~q)"
+README_SEQUENT = "p | (q & ~q) => p & (q | ~q)"
 _TT_PQ = [
     ("0", "0", "0"), ("0", "1/2", "0"), ("0", "1", "0"),
     ("1/2", "0", "0"), ("1/2", "1/2", "1/2"), ("1/2", "1", "1/2"),
@@ -276,12 +315,12 @@ _ORACLE_PROPERTIES = [
     "structural duality",
     "relative sum extracts antitheorems/theorems",
 ]
-ORACLE_ARGV = ["oracle", "--max-vars", "1", "--max-depth", "1", "--samples", "2", "--seed", "5"]
+
 
 # (argv, exit code, exact text stdout, exact --json stdout)
 GOLDEN = {
     "check-valid": (
-        ["check", "--logic", "st", README], 0,
+        ["check", "--logic", "st", README_SEQUENT], 0,
         "VALID\n",
         _json_out({"logic": "ST", "sequent": "p | q & ~q => p & (q | ~q)", "valid": True,
                    "countermodel": None}),
@@ -309,7 +348,7 @@ GOLDEN = {
         _json_out({"logic": "K3", "sequent": "=>", "valid": False, "countermodel": {}}),
     ),
     "st-product-member": (
-        ["decompose", "--mode", "st-product", README], 0,
+        ["decompose", "--mode", "st-product", README_SEQUENT], 0,
         "MEMBER connector: p & ~q | p | p & q\n"
         "check K3: p | q & ~q => p & ~q | p | p & q -> valid\n"
         "check LP: p & ~q | p | p & q => p & (q | ~q) -> valid\n",
@@ -400,7 +439,7 @@ GOLDEN = {
         _json_out(*({"valuation": {"p": p, "q": q}, "value": value} for p, q, value in _TT_PQ)),
     ),
     "oracle-pass": (
-        ORACLE_ARGV, 0,
+        ["oracle", "--max-vars", "1", "--max-depth", "1", "--samples", "2", "--seed", "5"], 0,
         "".join(f"PASS {name} (2 samples)\n" for name in _ORACLE_PROPERTIES),
         _json_out(*({"property": name, "samples": 2, "passed": True, "counterexample": None}
                     for name in _ORACLE_PROPERTIES)),

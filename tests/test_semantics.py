@@ -18,7 +18,6 @@ from mixcons.semantics import (
     enumerate_valuations,
     eval_formula,
     is_partial_sharpening,
-    render_valuation,
     valuation_record,
 )
 from mixcons.duality import op_dual
@@ -188,9 +187,6 @@ class TestDualValuation:
 
 
 class TestRendering:
-    def test_render(self):
-        assert render_valuation(_val(q=HALF, p=ONE)) == "p=1 q=1/2"
-
     def test_record(self):
         assert valuation_record(_val(p=ZERO)) == {"p": "0"}
         assert valuation_record(None) is None
