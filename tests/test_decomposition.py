@@ -45,10 +45,20 @@ from conftest import (
     lambda_free_inferences,
     formulas,
 )
+import oracles
 from oracles import brute_equivalent
 
 MIXED_EXAMPLE = parse_sequent("p | (q & ~q) => p & (q | ~q)")
 PRINTED_CONNECTOR = parse_formula("(p & q) | (p & ~q) | p")
+
+
+def _brute_constant(f, value) -> bool:
+    """`f` takes `value` under every environment of its variables."""
+    names = sorted(oracles.formula_vars(f))
+    return all(
+        oracles.brute_eval(f, dict(zip(names, combo))) == value
+        for combo in itertools.product(oracles.VALUES, repeat=len(names))
+    )
 
 
 class TestGammaVConjunction:
@@ -169,7 +179,16 @@ class TestTsSum:
     def test_theorem(self, inf):
         decision = ts_sum_decision(inf)
         assert decision.member == valid(TS, inf).valid
-        if not decision.member:
+        if decision.member:
+            # The witness is the first constant formula in side order:
+            # premises checked for 0, then conclusions checked for 1.
+            zero_premises = [g for g in inf.premises if _brute_constant(g, oracles.ZERO)]
+            one_conclusions = [d for d in inf.conclusions if _brute_constant(d, oracles.ONE)]
+            if zero_premises:
+                assert decision.reason == AlwaysZeroPremise(zero_premises[0])
+            else:
+                assert decision.reason == AlwaysOneConclusion(one_conclusions[0])
+        else:
             refutation = decision.reason
             left = Inference(inf.premises, (refutation.pivot,))
             right = Inference((refutation.pivot,), inf.conclusions)

@@ -29,10 +29,23 @@ def test_corrupted_standard_detected():
     corrupted["ST"] = LogicStandard("ST", _TOLERANT, _STRICT)
     report = run_oracle(max_vars=2, max_depth=3, samples=200, seed=7, standards=corrupted)
     assert not report.ok
-    failing = [r for r in report.results if not r.passed]
-    assert failing
-    for result in failing:
-        assert result.counterexample
+    assert [(r.name, r.samples, r.passed, r.counterexample) for r in report.results] == [
+        ("parse/print round-trip", 200, True, None),
+        ("classical values stable under sharpening", 200, True, None),
+        ("all-1/2 valuation maximality", 200, True, None),
+        ("K3-DNF equivalence", 200, True, None),
+        ("ST product witness", 2, False, "product witness disagrees with ST-validity: p => p"),
+        ("TS sum membership", 200, True, None),
+        ("validity inclusion lattice", 3, False, "inclusion lattice violated: => ~q | q"),
+        ("operational duality", 200, True, None),
+        ("structural duality", 3, False, "structural duality violated: q => q"),
+        (
+            "relative sum extracts antitheorems/theorems",
+            1,
+            False,
+            "sum extraction disagrees with ST theorems/antitheorems: => q, ~(q & p)",
+        ),
+    ]
 
 
 def test_single_sample_bound():
