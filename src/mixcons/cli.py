@@ -38,6 +38,7 @@ from .decomposition import (
     SumRefutation,
     lp_k3_connector_lambda_free,
     milne_interpolant,
+    product_witness,
     st_connecting_formula,
     ts_sum_decision,
 )
@@ -190,9 +191,7 @@ def cmd_interpolate(args: argparse.Namespace) -> Answer:
         if outcome.reason == "lambda-present":
             raise UsageError("lambda is not allowed in interpolation inputs")
         return EXIT_NEGATIVE, [_record(inf, "milne", {"member": False, "reason": outcome.reason})], _result_text
-    left = valid(K3, Inference((phi,), (outcome,)))
-    right = valid(LP, Inference((outcome,), (psi,)))
-    witness = ProductWitness(outcome, left, right)
+    witness = product_witness(inf, outcome, K3, LP)
     result = {"member": True, "interpolant": print_formula(outcome)}
     return EXIT_OK, [_record(inf, "milne", result, _witness_checks(inf, witness, "K3", "LP"))], _result_text
 

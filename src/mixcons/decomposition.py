@@ -2,7 +2,8 @@
 
 ST-validity is witnessed by a single connecting formula: the K3
 disjunctive normal form of the conjoined premises, which the premises
-K3-entail and which LP-entails the conclusions.  TS-validity holds
+K3-entail and which LP-entails the conclusions.  `product_witness` runs
+and checks the two component decisions of every product.  TS-validity holds
 exactly when some premise is constantly false or some conclusion
 constantly true; when it fails, a fresh pivot variable refutes membership
 in the relative sum.  On the lambda-free fragment the product also works
@@ -29,6 +30,8 @@ from .formula import (
     contains_lambda,
     disjoin,
     fresh_variable,
+    print_formula,
+    print_sequent,
     BOT,
     TOP,
     LAM,
@@ -46,6 +49,7 @@ from .consequence import (
     LP,
     ST,
     TS,
+    LogicStandard,
     Verdict,
     antivalid,
     classically_valid,
@@ -127,23 +131,14 @@ def _classical_literals(v: Valuation, names: Iterable[str]) -> list[Formula]:
     return literals
 
 
-def gamma_v_conjunction(gamma: Iterable[Formula], v: Valuation) -> Formula:
-    """Conjunction of the literals classical under v, over the atoms of gamma.
-
-    Requires every member of gamma to be strictly true under v; then some
-    atom is classical, so the conjunction is nonempty.
-    """
-    gamma = tuple(gamma)
-    if not gamma:
-        raise PreconditionError("gamma must be nonempty")
-    for g in gamma:
-        if eval_formula(g, v) != ONE:
-            raise PreconditionError(
-                f"premise not strictly true under the given valuation: {g!r}"
-            )
-    literals = _classical_literals(v, atoms_of_set(gamma))
-    assert literals, "some atom must be classical when all premises are strictly true"
-    return conjoin(literals)
+def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> list[Formula]:
+    """One conjunction of classical literals over `literal_atoms` per valuation
+    making every member of gamma 1, in enumeration order, duplicates removed."""
+    disjuncts: dict[Formula, None] = {}
+    for v in enumerate_valuations(atoms_of_set(gamma)):
+        if all(eval_formula(g, v) == ONE for g in gamma):
+            disjuncts.setdefault(conjoin(_classical_literals(v, literal_atoms)))
+    return list(disjuncts)
 
 
 def k3_dnf(gamma: Iterable[Formula]) -> Formula:
@@ -155,18 +150,23 @@ def k3_dnf(gamma: Iterable[Formula]) -> Formula:
     gamma = tuple(gamma)
     if not gamma:
         raise PreconditionError("gamma must be nonempty")
-    domain = atoms_of_set(gamma)
-    disjuncts: list[Formula] = []
-    seen: set[Formula] = set()
-    for v in enumerate_valuations(domain):
-        if all(eval_formula(g, v) == ONE for g in gamma):
-            literals = _classical_literals(v, domain)
-            assert literals, "some atom must be classical when all premises are strictly true"
-            c = conjoin(literals)
-            if c not in seen:
-                seen.add(c)
-                disjuncts.append(c)
-    return disjoin(disjuncts) if disjuncts else BOT
+    return disjoin(_strict_dnf(gamma, atoms_of_set(gamma)))
+
+
+def product_witness(
+    inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard, decide=None
+) -> ProductWitness:
+    """`connector` with the checks `decide(left, premises => connector)` and
+    `decide(right, connector => conclusions)`, both of which must hold.  `decide`
+    defaults to `valid`, looked up per call so that a rebound module name is seen."""
+    decide = decide or valid
+    left_check = decide(left, Inference(inf.premises, (connector,)))
+    right_check = decide(right, Inference((connector,), inf.conclusions))
+    if not (left_check.valid and right_check.valid):
+        raise RuntimeError(
+            f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}"
+        )
+    return ProductWitness(connector, left_check, right_check)
 
 
 def st_connecting_formula(inf: Inference) -> Union[ProductWitness, DecompositionFailure]:
@@ -181,15 +181,23 @@ def st_connecting_formula(inf: Inference) -> Union[ProductWitness, Decomposition
         assert verdict.countermodel is not None
         return DecompositionFailure(verdict.countermodel)
     connector = TOP if not inf.premises else k3_dnf(inf.premises)
-    left = valid(K3, Inference(inf.premises, (connector,)))
-    right = valid(LP, Inference((connector,), inf.conclusions))
-    assert left.valid and right.valid
-    return ProductWitness(connector, left, right)
+    return product_witness(inf, connector, K3, LP)
 
 
-def _constant_value(f: Formula, target) -> bool:
-    """The all-1/2 valuation lies below every other, so a classical value there is constant."""
-    return eval_formula(f, all_half_valuation()) == target
+def _constant_witness(inf: Inference) -> Optional[Union[AlwaysZeroPremise, AlwaysOneConclusion]]:
+    """The first premise that is 0, else the first conclusion that is 1, at all-1/2.
+
+    The all-1/2 valuation lies below every other, so a classical value there
+    is constant; TS-validity holds exactly when there is such a formula.
+    """
+    half = all_half_valuation()
+    for g in inf.premises:
+        if eval_formula(g, half) == ZERO:
+            return AlwaysZeroPremise(g)
+    for d in inf.conclusions:
+        if eval_formula(d, half) == ONE:
+            return AlwaysOneConclusion(d)
+    return None
 
 
 def ts_sum_decision(inf: Inference) -> TsSumDecision:
@@ -199,18 +207,12 @@ def ts_sum_decision(inf: Inference) -> TsSumDecision:
     constantly-true conclusion; a non-member is refuted by a fresh pivot
     variable set to 0 and to 1 atop a TS-falsifying valuation.
     """
-    verdict = valid(TS, inf)
-    if verdict.valid:
-        for g in inf.premises:
-            if _constant_value(g, ZERO):
-                return TsSumDecision(True, AlwaysZeroPremise(g))
-        for d in inf.conclusions:
-            if _constant_value(d, ONE):
-                return TsSumDecision(True, AlwaysOneConclusion(d))
-        raise AssertionError("TS-valid inference with no constant witness")
-    assert verdict.countermodel is not None
+    witness = _constant_witness(inf)
+    if witness is not None:
+        return TsSumDecision(True, witness)
+    base = valid(TS, inf).countermodel
+    assert base is not None
     pivot_name = fresh_variable(inf.atoms())
-    base = verdict.countermodel
     refutation = SumRefutation(
         pivot=Var(pivot_name),
         left_fail=base.with_assignment(pivot_name, ZERO),
@@ -221,10 +223,7 @@ def ts_sum_decision(inf: Inference) -> TsSumDecision:
 
 def lp_k3_product_universal_witness(inf: Inference) -> ProductWitness:
     """The constant lambda connects any inference in the LP-then-K3 product."""
-    left = valid(LP, Inference(inf.premises, (LAM,)))
-    right = valid(K3, Inference((LAM,), inf.conclusions))
-    assert left.valid and right.valid
-    return ProductWitness(LAM, left, right)
+    return product_witness(inf, LAM, LP, K3)
 
 
 def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, DecompositionFailure]:
@@ -246,24 +245,18 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
         assert verdict.countermodel is not None
         return DecompositionFailure(verdict.countermodel)
 
-    lp_satisfiable = not any(_constant_value(g, ZERO) for g in inf.premises)
-    if not lp_satisfiable:
+    witness = _constant_witness(inf)
+    if isinstance(witness, AlwaysZeroPremise):
         connector: Formula = BOT
+    elif isinstance(witness, AlwaysOneConclusion):
+        connector = TOP
     else:
-        conclusion_atoms = atoms_of_set(inf.conclusions)
-        always_strict = any(_constant_value(d, ONE) for d in inf.conclusions)
-        if always_strict:
-            connector = TOP
-        else:
-            tautologies = [
-                Or(atom_to_formula(a), Not(atom_to_formula(a)))
-                for a in sorted(conclusion_atoms)
-            ]
-            connector = And(conjoin(inf.premises), conjoin(tautologies))
-    left = valid(LP, Inference(inf.premises, (connector,)))
-    right = valid(K3, Inference((connector,), inf.conclusions))
-    assert left.valid and right.valid
-    return ProductWitness(connector, left, right)
+        tautologies = [
+            Or(atom_to_formula(a), Not(atom_to_formula(a)))
+            for a in sorted(atoms_of_set(inf.conclusions))
+        ]
+        connector = And(conjoin(inf.premises), conjoin(tautologies))
+    return product_witness(inf, connector, LP, K3)
 
 
 @dataclass
@@ -288,30 +281,14 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
     if classically_valid(Inference((), (psi,))):
         return MilneFailure("tautology")
 
-    shared = atoms(phi) & atoms(psi)
-    disjuncts: list[Formula] = []
-    seen: set[Formula] = set()
-    for v in enumerate_valuations(atoms(phi)):
-        if eval_formula(phi, v) != ONE:
-            continue
-        disjunct = conjoin(_classical_literals(v, shared))
-        if disjunct not in seen:
-            seen.add(disjunct)
-            disjuncts.append(disjunct)
+    disjuncts = _strict_dnf((phi,), atoms(phi) & atoms(psi))
     assert disjuncts, "a classically satisfiable premise has a strict valuation"
     return disjoin(disjuncts)
 
 
 def st_minus_sum_decision(inf: Inference) -> bool:
-    """Membership in the sum of K3- and LP-antivalidities (= ST-antivalidity).
-
-    Cross-checked against TS-validity of the inverted inference.
-    """
-    direct = antivalid(ST, inf).valid
-    via_inverse = valid(TS, Inference(inf.conclusions, inf.premises)).valid
-    if direct != via_inverse:
-        raise AssertionError("structural duality violated between ST- and TS+")
-    return direct
+    """Membership in the sum of K3- and LP-antivalidities (= ST-antivalidity)."""
+    return antivalid(ST, inf).valid
 
 
 def ts_minus_product_decision(inf: Inference) -> TsMinusProduct:
@@ -323,14 +300,10 @@ def ts_minus_product_decision(inf: Inference) -> TsMinusProduct:
     """
     if not antivalid(TS, inf).valid:
         return TsMinusProduct(False)
-    inverse = Inference(inf.conclusions, inf.premises)
-    witness = st_connecting_formula(inverse)
-    assert isinstance(witness, ProductWitness)
-    connector = witness.connector
-    left = antivalid(LP, Inference(inf.premises, (connector,)))
-    right = antivalid(K3, Inference((connector,), inf.conclusions))
-    assert left.valid and right.valid
-    return TsMinusProduct(True, connector, left, right)
+    inverse = st_connecting_formula(Inference(inf.conclusions, inf.premises))
+    assert isinstance(inverse, ProductWitness)
+    witness = product_witness(inf, inverse.connector, LP, K3, decide=antivalid)
+    return TsMinusProduct(True, witness.connector, witness.left_check, witness.right_check)
 
 
 def sum_equals_antitheorems_plus_theorems(logic_left, logic_right, inf: Inference) -> bool:

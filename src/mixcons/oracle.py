@@ -8,6 +8,7 @@ logic standard must make the suite fail.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -19,6 +20,7 @@ from .formula import (
     Not,
     Or,
     atoms,
+    conjoin,
     parse_formula,
     print_formula,
     print_sequent,
@@ -47,7 +49,6 @@ from .decomposition import (
     ts_sum_decision,
 )
 from .duality import invert, op_dual_inference
-from .formula import conjoin
 from .randgen import (
     random_formula,
     random_formula_set,
@@ -117,10 +118,6 @@ def _shrink(inf: Inference, fails: Callable[[Inference], bool]) -> Inference:
     return inf
 
 
-def _shrunk_counterexample(inf: Inference, fails: Callable[[Inference], bool]) -> str:
-    return print_sequent(_shrink(inf, fails))
-
-
 # --------------------------------------------------------------------------
 # individual properties; each returns None or a counterexample description
 
@@ -170,91 +167,53 @@ def _prop_dnf_equivalence(rng, variables, max_depth, standards):
     return None
 
 
-def _prop_st_product(rng, variables, max_depth, standards):
-    st = standards["ST"]
-    inf = random_inference(rng, variables, max_depth)
+def _inference_property(message: str, fails_for: Callable[[dict, Inference], bool]):
+    """Property over one random inference: the shrunk inference, after
+    `message`, when `fails_for(standards, inference)` holds."""
 
-    def fails(candidate: Inference) -> bool:
-        witness = st_connecting_formula(candidate)
-        return valid(st, candidate).valid != isinstance(witness, ProductWitness)
+    def prop(rng, variables, max_depth, standards):
+        inf = random_inference(rng, variables, max_depth)
+        fails = functools.partial(fails_for, standards)
+        if fails(inf):
+            return f"{message}: {print_sequent(_shrink(inf, fails))}"
+        return None
 
-    if fails(inf):
-        return "product witness disagrees with ST-validity: " + _shrunk_counterexample(inf, fails)
-    return None
-
-
-def _prop_ts_sum(rng, variables, max_depth, standards):
-    ts = standards["TS"]
-    inf = random_inference(rng, variables, max_depth)
-
-    def fails(candidate: Inference) -> bool:
-        return valid(ts, candidate).valid != ts_sum_decision(candidate).member
-
-    if fails(inf):
-        return "sum membership disagrees with TS-validity: " + _shrunk_counterexample(inf, fails)
-    return None
+    return prop
 
 
-def _prop_lattice(rng, variables, max_depth, standards):
-    inf = random_inference(rng, variables, max_depth)
+def _st_product_fails(standards, inf):
+    witness = st_connecting_formula(inf)
+    return valid(standards["ST"], inf).valid != isinstance(witness, ProductWitness)
+
+
+def _ts_sum_fails(standards, inf):
+    return valid(standards["TS"], inf).valid != ts_sum_decision(inf).member
+
+
+def _lattice_fails(standards, inf):
     inclusions = (("TS", "K3"), ("TS", "LP"), ("K3", "ST"), ("LP", "ST"))
-
-    def fails(candidate: Inference) -> bool:
-        return any(
-            valid(standards[small], candidate).valid
-            and not valid(standards[big], candidate).valid
-            for small, big in inclusions
-        )
-
-    if fails(inf):
-        return "inclusion lattice violated: " + _shrunk_counterexample(inf, fails)
-    return None
+    return any(
+        valid(standards[small], inf).valid and not valid(standards[big], inf).valid
+        for small, big in inclusions
+    )
 
 
-def _prop_operational_duality(rng, variables, max_depth, standards):
-    inf = random_inference(rng, variables, max_depth)
+def _operational_duality_fails(standards, inf):
+    dual = op_dual_inference(inf)
     pairs = (("K3", "LP"), ("LP", "K3"), ("ST", "ST"), ("TS", "TS"))
-
-    def fails(candidate: Inference) -> bool:
-        dual = op_dual_inference(candidate)
-        return any(
-            valid(standards[a], candidate).valid != valid(standards[b], dual).valid
-            for a, b in pairs
-        )
-
-    if fails(inf):
-        return "operational duality violated: " + _shrunk_counterexample(inf, fails)
-    return None
+    return any(valid(standards[a], inf).valid != valid(standards[b], dual).valid for a, b in pairs)
 
 
-def _prop_structural_duality(rng, variables, max_depth, standards):
-    inf = random_inference(rng, variables, max_depth)
+def _structural_duality_fails(standards, inf):
+    inverse = invert(inf)
     pairs = (("K3", "K3"), ("LP", "LP"), ("ST", "TS"), ("TS", "ST"))
-
-    def fails(candidate: Inference) -> bool:
-        inverse = invert(candidate)
-        return any(
-            valid(standards[a], candidate).valid != antivalid(standards[b], inverse).valid
-            for a, b in pairs
-        )
-
-    if fails(inf):
-        return "structural duality violated: " + _shrunk_counterexample(inf, fails)
-    return None
+    return any(valid(standards[a], inf).valid != antivalid(standards[b], inverse).valid for a, b in pairs)
 
 
-def _prop_sum_extraction(rng, variables, max_depth, standards):
-    inf = random_inference(rng, variables, max_depth)
-    k3, lp, st = standards["K3"], standards["LP"], standards["ST"]
-
-    def fails(candidate: Inference) -> bool:
-        by_sum = sum_equals_antitheorems_plus_theorems(k3, lp, candidate)
-        by_st = is_antitheorem(st, candidate.premises) or is_theorem(st, candidate.conclusions)
-        return by_sum != by_st
-
-    if fails(inf):
-        return "sum extraction disagrees with ST theorems/antitheorems: " + _shrunk_counterexample(inf, fails)
-    return None
+def _sum_extraction_fails(standards, inf):
+    st = standards["ST"]
+    by_sum = sum_equals_antitheorems_plus_theorems(standards["K3"], standards["LP"], inf)
+    return by_sum != (is_antitheorem(st, inf.premises) or is_theorem(st, inf.conclusions))
 
 
 _PROPERTIES = (
@@ -262,12 +221,18 @@ _PROPERTIES = (
     ("classical values stable under sharpening", _prop_monotonicity),
     ("all-1/2 valuation maximality", _prop_all_half),
     ("K3-DNF equivalence", _prop_dnf_equivalence),
-    ("ST product witness", _prop_st_product),
-    ("TS sum membership", _prop_ts_sum),
-    ("validity inclusion lattice", _prop_lattice),
-    ("operational duality", _prop_operational_duality),
-    ("structural duality", _prop_structural_duality),
-    ("relative sum extracts antitheorems/theorems", _prop_sum_extraction),
+    ("ST product witness", _inference_property(
+        "product witness disagrees with ST-validity", _st_product_fails)),
+    ("TS sum membership", _inference_property(
+        "sum membership disagrees with TS-validity", _ts_sum_fails)),
+    ("validity inclusion lattice", _inference_property(
+        "inclusion lattice violated", _lattice_fails)),
+    ("operational duality", _inference_property(
+        "operational duality violated", _operational_duality_fails)),
+    ("structural duality", _inference_property(
+        "structural duality violated", _structural_duality_fails)),
+    ("relative sum extracts antitheorems/theorems", _inference_property(
+        "sum extraction disagrees with ST theorems/antitheorems", _sum_extraction_fails)),
 )
 
 

@@ -15,7 +15,7 @@ from mixcons.formula import (
     LAM,
     TOP,
 )
-from mixcons.semantics import HALF, ONE, ZERO, Valuation
+from mixcons.semantics import HALF, ONE, ZERO
 from mixcons.consequence import K3, LP, ST, TS, antivalid, satisfies, valid
 from mixcons.decomposition import (
     AlwaysOneConclusion,
@@ -26,11 +26,11 @@ from mixcons.decomposition import (
     PreconditionError,
     ProductWitness,
     SumRefutation,
-    gamma_v_conjunction,
     k3_dnf,
     lp_k3_connector_lambda_free,
     lp_k3_product_universal_witness,
     milne_interpolant,
+    product_witness,
     st_connecting_formula,
     st_minus_sum_decision,
     sum_equals_antitheorems_plus_theorems,
@@ -43,7 +43,6 @@ from conftest import (
     inferences,
     lambda_free_formulas,
     lambda_free_inferences,
-    formulas,
 )
 import oracles
 from oracles import brute_equivalent
@@ -61,39 +60,6 @@ def _brute_constant(f, value) -> bool:
     )
 
 
-class TestGammaVConjunction:
-    def test_half_atom_dropped(self):
-        gamma = (parse_formula("p | (q & ~q)"),)
-        v = Valuation({"p": ONE, "q": HALF})
-        assert gamma_v_conjunction(gamma, v) == Var("p")
-
-    def test_all_classical(self):
-        gamma = (parse_formula("p & q"),)
-        v = Valuation({"p": ONE, "q": ONE})
-        assert print_formula(gamma_v_conjunction(gamma, v)) == "p & q"
-
-    def test_literal_signs(self):
-        gamma = (parse_formula("p | q"),)
-        v = Valuation({"p": ONE, "q": ZERO})
-        assert print_formula(gamma_v_conjunction(gamma, v)) == "p & ~q"
-
-    def test_precondition_enforced(self):
-        with pytest.raises(PreconditionError):
-            gamma_v_conjunction((Var("p"),), Valuation({"p": HALF}))
-        with pytest.raises(PreconditionError):
-            gamma_v_conjunction((), Valuation({}))
-
-    @given(formulas, st.data())
-    def test_result_strictly_true_under_v(self, f, data):
-        from mixcons.semantics import enumerate_valuations, eval_formula
-
-        strict = [v for v in enumerate_valuations(atoms(f)) if eval_formula(f, v) == ONE]
-        if not strict:
-            return
-        v = data.draw(st.sampled_from(strict))
-        assert eval_formula(gamma_v_conjunction((f,), v), v) == ONE
-
-
 class TestK3Dnf:
     def test_known_connector_up_to_equivalence(self):
         dnf = k3_dnf((parse_formula("p | (q & ~q)"),))
@@ -105,6 +71,10 @@ class TestK3Dnf:
     def test_single_atom(self):
         assert k3_dnf((Var("p"),)) == Var("p")
 
+    def test_empty_premises_rejected(self):
+        with pytest.raises(PreconditionError):
+            k3_dnf(())
+
     @given(st.lists(lambda_free_formulas, min_size=1, max_size=2))
     def test_equivalence_lemma(self, gamma):
         gamma = tuple(gamma)
@@ -113,6 +83,12 @@ class TestK3Dnf:
         from mixcons.formula import conjoin
 
         assert valid(K3, Inference((dnf,), (conjoin(gamma),))).valid
+
+
+class TestProductWitness:
+    def test_failed_check_names_the_connector(self):
+        with pytest.raises(RuntimeError, match="connector q fails a component check of p => p"):
+            product_witness(parse_sequent("p => p"), Var("q"), K3, LP)
 
 
 class TestStProduct:
