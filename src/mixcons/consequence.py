@@ -19,20 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .formula import (
-    Formula,
-    Inference,
-    Not,
-    Var,
-    atoms,
-    atoms_of_set,
-    atom_to_formula,
-    fresh_variable,
-    print_sequent,
-    TOP,
-    BOT,
-    LAM,
-)
+from .formula import Formula, Inference, print_sequent
 from .semantics import (
     HALF,
     ONE,
@@ -121,15 +108,6 @@ def is_theorem(logic: LogicStandard, delta: Iterable[Formula]) -> bool:
     return valid(logic, Inference((), delta)).valid
 
 
-def is_trivial_theorem_or_antitheorem(formulas: Iterable[Formula]) -> bool:
-    """True iff some member takes the same value under every valuation."""
-    for f in formulas:
-        values = {eval_formula(f, v) for v in enumerate_valuations(atoms(f))}
-        if len(values) == 1:
-            return True
-    return False
-
-
 def classically_valid(inf: Inference) -> bool:
     """Two-valued validity, enumerating only the values 0 and 1.
 
@@ -137,50 +115,6 @@ def classically_valid(inf: Inference) -> bool:
     ST-validity.
     """
     return all(satisfies(K3, v, inf) for v in enumerate_valuations(inf.atoms(), (ZERO, ONE)))
-
-
-def _sample_pool(formulas: Iterable[Formula]) -> tuple[list[Formula], Formula]:
-    """Bounded formula sample over the atoms of `formulas`, plus a fresh variable."""
-    ats = sorted(atoms_of_set(formulas))
-    fresh = Var(fresh_variable(ats))
-    pool: list[Formula] = [TOP, BOT, LAM, fresh]
-    for a in ats:
-        f = atom_to_formula(a)
-        pool.append(f)
-        pool.append(Not(f))
-    return pool, fresh
-
-
-def antitheorem_equivalences_hold(logic: LogicStandard, gamma: Iterable[Formula]) -> bool:
-    """Oracle: the four standard characterizations of antitheoremhood agree.
-
-    The universally quantified clauses (all conclusion sets, all single
-    conclusions) are checked on a bounded sample that includes a fresh
-    variable; for designated-value logics the fresh-variable clause is
-    equivalent to the universal ones, so the sample decides correctly.
-    """
-    gamma = tuple(gamma)
-    c_antitheorem = is_antitheorem(logic, gamma)
-    pool, fresh = _sample_pool(gamma)
-    delta_samples: list[tuple[Formula, ...]] = [(), (fresh,), tuple(pool)]
-    delta_samples += [(phi,) for phi in pool]
-    c_all_sets = all(valid(logic, Inference(gamma, d)).valid for d in delta_samples)
-    c_all_formulas = all(valid(logic, Inference(gamma, (phi,))).valid for phi in pool)
-    c_fresh = valid(logic, Inference(gamma, (fresh,))).valid
-    return len({c_antitheorem, c_all_sets, c_all_formulas, c_fresh}) == 1
-
-
-def theorem_equivalences_hold(logic: LogicStandard, delta: Iterable[Formula]) -> bool:
-    """Symmetric oracle for the theorem characterizations."""
-    delta = tuple(delta)
-    c_theorem = is_theorem(logic, delta)
-    pool, fresh = _sample_pool(delta)
-    gamma_samples: list[tuple[Formula, ...]] = [(), (fresh,), tuple(pool)]
-    gamma_samples += [(phi,) for phi in pool]
-    c_all_sets = all(valid(logic, Inference(g, delta)).valid for g in gamma_samples)
-    c_all_formulas = all(valid(logic, Inference((phi,), delta)).valid for phi in pool)
-    c_fresh = valid(logic, Inference((fresh,), delta)).valid
-    return len({c_theorem, c_all_sets, c_all_formulas, c_fresh}) == 1
 
 
 def verdict_record(logic: LogicStandard, inf: Inference, verdict: Verdict, anti: bool = False) -> dict:

@@ -135,12 +135,6 @@ def all_half_valuation() -> Valuation:
     return Valuation({}, default=HALF)
 
 
-def dual_valuation(v: Valuation) -> Valuation:
-    flipped = {name: value.complement() for name, value in v.assignments.items()}
-    default = v.default.complement() if v.default is not None else None
-    return Valuation(flipped, default)
-
-
 def valuation_record(v: Optional[Valuation]) -> Optional[dict[str, str]]:
     if v is None:
         return None

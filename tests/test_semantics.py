@@ -14,7 +14,6 @@ from mixcons.semantics import (
     VALUE_ORDER,
     Valuation,
     all_half_valuation,
-    dual_valuation,
     enumerate_valuations,
     eval_formula,
     is_partial_sharpening,
@@ -26,6 +25,12 @@ from conftest import formulas
 from oracles import brute_eval, formula_vars
 
 _FRAC = {ZERO: Fraction(0), HALF: Fraction(1, 2), ONE: Fraction(1)}
+
+
+def dual_valuation(v: Valuation) -> Valuation:
+    flipped = {name: value.complement() for name, value in v.assignments.items()}
+    default = v.default.complement() if v.default is not None else None
+    return Valuation(flipped, default)
 
 
 def _val(**kwargs):
