@@ -11,7 +11,9 @@ sharpening, so the first is classical and only {0,1}^n is walked.  Where
 both sides may be 1/2 (TS-validity, ST-antivalidity), they are closed under
 moving values to 1/2: all-1/2 decides, and the first countermodel sets each
 variable to 0 if that stays a countermodel, else 1/2, in at most n + 1
-evaluations.  K3 and LP walk all 3^n valuations.
+evaluations.  K3 and LP search all 3^n valuations.  The 3^n and 2^n walks
+evaluate each side formula once per block of up to 3^8 valuations, as bit
+masks (`semantics.rail_blocks`); the lowest countermodel bit is the first.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .semantics import (
     ZERO,
     TruthValue,
     Valuation,
-    enumerate_valuations,
     eval_formula,
+    rail_blocks,
     valuation_record,
 )
 
@@ -71,12 +73,32 @@ def antisatisfies(logic: LogicStandard, v: Valuation, inf: Inference) -> bool:
     return True
 
 
+def _block_walk(logic: LogicStandard, inf: Inference, anti: bool, values: tuple[TruthValue, ...]) -> Verdict:
+    """First countermodel into `values`: every premise and no conclusion
+    designated (for antivalidity: no premise and every conclusion)."""
+    # Rail 0 (>= 1/2) is tolerant designation, rail 1 (= 1) strict designation.
+    premise_rail = 0 if HALF in logic.premise_designated else 1
+    conclusion_rail = 0 if HALF in logic.conclusion_designated else 1
+    sides = [(g, premise_rail, anti) for g in inf.premises]
+    sides += [(d, conclusion_rail, not anti) for d in inf.conclusions]
+    for block in rail_blocks(inf.atoms(), values):
+        full, hits = block.full, block.mask
+        for f, rail, undesignated in sides:
+            designated = block.rails(f)[rail]
+            hits &= full ^ designated if undesignated else designated
+            if not hits:
+                break
+        if hits:
+            return Verdict(False, block.valuation((hits & -hits).bit_length() - 1))
+    return Verdict(True)
+
+
 def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Verdict:
     """The search the module docstring describes, for validity or antivalidity."""
-    holds = antisatisfies if anti else satisfies
     half_in_premises = (HALF in logic.premise_designated) != anti
     half_in_conclusions = (HALF in logic.conclusion_designated) == anti
     if half_in_premises and half_in_conclusions:
+        holds = antisatisfies if anti else satisfies
         values = dict.fromkeys(sorted(inf.variables()), HALF)
         if holds(logic, Valuation(values), inf):
             return Verdict(True)
@@ -86,10 +108,7 @@ def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Ver
                 values[name] = HALF
         return Verdict(False, Valuation(values))
     space = VALUE_ORDER if half_in_premises or half_in_conclusions else (ZERO, ONE)
-    for v in enumerate_valuations(inf.atoms(), space):
-        if not holds(logic, v, inf):
-            return Verdict(False, v)
-    return Verdict(True)
+    return _block_walk(logic, inf, anti, space)
 
 
 def valid(logic: LogicStandard, inf: Inference) -> Verdict:
@@ -114,7 +133,7 @@ def classically_valid(inf: Inference) -> bool:
     Meaningful on the lambda-free fragment, where it coincides with
     ST-validity.
     """
-    return all(satisfies(K3, v, inf) for v in enumerate_valuations(inf.atoms(), (ZERO, ONE)))
+    return _block_walk(K3, inf, False, (ZERO, ONE)).valid
 
 
 def verdict_record(logic: LogicStandard, inf: Inference, verdict: Verdict, anti: bool = False) -> dict:

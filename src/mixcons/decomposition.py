@@ -41,8 +41,8 @@ from .semantics import (
     ZERO,
     Valuation,
     all_half_valuation,
-    enumerate_valuations,
     eval_formula,
+    rail_blocks,
 )
 from .consequence import (
     K3,
@@ -135,9 +135,15 @@ def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> lis
     """One conjunction of classical literals over `literal_atoms` per valuation
     making every member of gamma 1, in enumeration order, duplicates removed."""
     disjuncts: dict[Formula, None] = {}
-    for v in enumerate_valuations(atoms_of_set(gamma)):
-        if all(eval_formula(g, v) == ONE for g in gamma):
+    for block in rail_blocks(atoms_of_set(gamma)):
+        strict = block.full
+        for g in gamma:
+            strict &= block.rails(g)[1]  # the "= 1" rail
+        while strict:
+            lowest = strict & -strict
+            v = block.valuation(lowest.bit_length() - 1)
             disjuncts.setdefault(conjoin(_classical_literals(v, literal_atoms)))
+            strict ^= lowest
     return list(disjuncts)
 
 
@@ -295,14 +301,14 @@ def ts_minus_product_decision(inf: Inference) -> TsMinusProduct:
     """Membership in the product of LP- and K3-antivalidities (= TS-antivalidity).
 
     On membership the connector is the ST product connector of the
-    inverted inference, reused in mirrored position; the component checks
-    are LP- and K3-antivalidity.
+    inverted inference, reused in mirrored position: T for no conclusions,
+    else the K3-DNF of the conclusions.  The component checks are LP- and
+    K3-antivalidity.
     """
     if not antivalid(TS, inf).valid:
         return TsMinusProduct(False)
-    inverse = st_connecting_formula(Inference(inf.conclusions, inf.premises))
-    assert isinstance(inverse, ProductWitness)
-    witness = product_witness(inf, inverse.connector, LP, K3, decide=antivalid)
+    connector = TOP if not inf.conclusions else k3_dnf(inf.conclusions)
+    witness = product_witness(inf, connector, LP, K3, decide=antivalid)
     return TsMinusProduct(True, witness.connector, witness.left_check, witness.right_check)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from typing import Iterable
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from mixcons.formula import (
     parse_formula,
     parse_sequent,
 )
+from mixcons import semantics
 from mixcons.semantics import HALF, ONE, ZERO, Valuation, enumerate_valuations, eval_formula
 from mixcons.consequence import (
     K3,
@@ -194,7 +196,17 @@ def _decide_like_brute(name, inf, anti):
     return verdict.valid, {k: Fraction(int(v), 2) for k, v in verdict.countermodel.assignments.items()}
 
 
+def _assert_brute_force_walk(inf, modes):
+    for name, anti in modes:
+        expected = brute_first_countermodel(name, inf, anti)
+        assert _decide_like_brute(name, inf, anti) == (expected is None, expected)
+
+
 MODES = [(name, anti) for name in ("K3", "LP", "ST", "TS") for anti in (False, True)]
+MISSING_VARIABLE_SEQUENTS = [
+    "p, q => r", "T, p => q & F | r", "~(q & r) | L, p => s", "p & q, q & r => r | s, p",
+    "s, ~p => (q | ~r) & p", "p => T, q", "F | p, ~q | r => q & ~s", "r & ~r, p => p",
+]
 
 
 class TestFirstCountermodel:
@@ -203,9 +215,7 @@ class TestFirstCountermodel:
     @settings(max_examples=200)
     @given(wide_inferences)
     def test_matches_brute_force_walk(self, inf):
-        for name, anti in MODES:
-            expected = brute_first_countermodel(name, inf, anti)
-            assert _decide_like_brute(name, inf, anti) == (expected is None, expected)
+        _assert_brute_force_walk(inf, MODES)
 
     @pytest.mark.parametrize("text", ["=>", "T => F", "L => L", "L =>", "=> L", "T, L => F", "F => L", "L => T"])
     @pytest.mark.parametrize("name,anti", MODES)
@@ -239,10 +249,7 @@ class TestFirstCountermodel:
         assert valid(TS, parse_sequent("p, q =>")).countermodel.assignments == {"p": HALF, "q": HALF}
         assert valid(TS, parse_sequent("=> p | ~q")).countermodel.assignments == {"p": ZERO, "q": HALF}
 
-    @pytest.mark.parametrize("text", [
-        "p, q => r", "T, p => q & F | r", "~(q & r) | L, p => s", "p & q, q & r => r | s, p",
-        "s, ~p => (q | ~r) & p", "p => T, q", "F | p, ~q | r => q & ~s", "r & ~r, p => p",
-    ])
+    @pytest.mark.parametrize("text", MISSING_VARIABLE_SEQUENTS)
     @pytest.mark.parametrize("name,anti", MODES)
     def test_formulas_missing_some_variables(self, text, name, anti):
         inf = parse_sequent(text)
@@ -254,6 +261,33 @@ class TestFirstCountermodel:
         assert valid(TS, inf).valid
         assert brute_valid("TS", inf)
         assert antivalid(ST, Inference(inf.conclusions, inf.premises)).valid
+
+
+class TestBlockBoundary:
+    """The walks go a block of valuations at a time.  With blocks of one or
+    two variables, the sequents above also walk prefixes and decode a
+    prefix plus a block position into the countermodel."""
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @settings(max_examples=200)
+    @given(inf=wide_inferences)
+    def test_matches_brute_force_walk(self, block, inf):
+        with mock.patch.object(semantics, "BLOCK", block):
+            _assert_brute_force_walk(inf, MODES)
+
+    @pytest.mark.parametrize("text", MISSING_VARIABLE_SEQUENTS)
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_formulas_missing_some_variables(self, block, text, monkeypatch):
+        monkeypatch.setattr(semantics, "BLOCK", block)
+        _assert_brute_force_walk(parse_sequent(text), MODES)
+
+    @pytest.mark.parametrize("name", ["K3", "LP"])
+    def test_first_countermodel_past_the_first_block(self, name):
+        inf = parse_sequent(" | ".join(f"x{i}" for i in range(1, 9)) + " => ~x0")
+        assert len(inf.variables()) > semantics.BLOCK
+        expected = brute_first_countermodel(name, inf)
+        assert expected["x0"] != 0
+        assert _decide_like_brute(name, inf, False) == (False, expected)
 
 
 class TestTheorems:

@@ -1,13 +1,21 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from mixcons import semantics
 from mixcons.formula import (
     Inference,
+    Not,
+    Or,
     Var,
+    atom_to_formula,
     atoms,
+    atoms_of_set,
+    conjoin,
+    disjoin,
     parse_formula,
     parse_sequent,
     print_formula,
@@ -16,7 +24,7 @@ from mixcons.formula import (
     TOP,
 )
 from mixcons.semantics import HALF, ONE, ZERO
-from mixcons.consequence import K3, LP, ST, TS, antivalid, satisfies, valid
+from mixcons.consequence import K3, LP, ST, TS, antivalid, classically_valid, satisfies, valid
 from mixcons.decomposition import (
     AlwaysOneConclusion,
     AlwaysZeroPremise,
@@ -43,6 +51,8 @@ from conftest import (
     inferences,
     lambda_free_formulas,
     lambda_free_inferences,
+    wide_formulas,
+    wide_inferences,
 )
 import oracles
 from oracles import brute_equivalent
@@ -258,6 +268,69 @@ class TestMilne:
         assert atoms(outcome) <= (atoms(phi) & atoms(psi)) | {"T", "F"}
         assert valid(K3, Inference((phi,), (outcome,))).valid
         assert valid(LP, Inference((outcome,), (psi,))).valid
+
+
+def _brute_strict_dnf(gamma, literal_atoms):
+    """The K3-DNF construction over `oracles` environments: one conjunction of
+    classical literals per environment making all of gamma 1, first-seen order."""
+    names = sorted(set().union(*map(oracles.formula_vars, gamma)))
+    constants = {"T": oracles.ONE, "F": oracles.ZERO, "L": oracles.HALF}
+    disjuncts = {}
+    for combo in itertools.product(oracles.VALUES, repeat=len(names)):
+        env = dict(zip(names, combo))
+        if all(oracles.brute_eval(g, env) == oracles.ONE for g in gamma):
+            values = {a: env.get(a, constants.get(a)) for a in sorted(literal_atoms)}
+            literals = [atom_to_formula(a) if x == oracles.ONE else Not(atom_to_formula(a))
+                        for a, x in values.items() if x != oracles.HALF]
+            disjuncts.setdefault(conjoin(literals))
+    return disjoin(disjuncts)
+
+
+def _brute_classically_valid(inf):
+    names = sorted(set().union(*map(oracles.formula_vars, inf.premises + inf.conclusions)))
+    for combo in itertools.product((oracles.ZERO, oracles.ONE), repeat=len(names)):
+        env = dict(zip(names, combo))
+        premises = [oracles.brute_eval(g, env) for g in inf.premises]
+        conclusions = [oracles.brute_eval(d, env) for d in inf.conclusions]
+        if all(x == oracles.ONE for x in premises) and oracles.ONE not in conclusions:
+            return False
+    return True
+
+
+def _brute_milne(phi, psi):
+    if "L" in atoms(phi) | atoms(psi):
+        return MilneFailure("lambda-present")
+    if not _brute_classically_valid(Inference((phi,), (psi,))):
+        return MilneFailure("invalid-inference")
+    if _brute_classically_valid(Inference((), (Not(phi),))):
+        return MilneFailure("contradiction")
+    if _brute_classically_valid(Inference((), (psi,))):
+        return MilneFailure("tautology")
+    return _brute_strict_dnf((phi,), atoms(phi) & atoms(psi))
+
+
+class TestBlockBoundary:
+    """The strict-valuation scans and the classical walk, with blocks smaller
+    than the formulas, against brute force."""
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @given(gamma=st.lists(wide_formulas, min_size=1, max_size=3))
+    def test_k3_dnf(self, block, gamma):
+        with mock.patch.object(semantics, "BLOCK", block):
+            assert k3_dnf(gamma) == _brute_strict_dnf(gamma, atoms_of_set(gamma))
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @given(phi=lambda_free_formulas, psi=lambda_free_formulas)
+    def test_milne_interpolant(self, block, phi, psi):
+        with mock.patch.object(semantics, "BLOCK", block):
+            for conclusion in (psi, Or(phi, psi)):
+                assert milne_interpolant(phi, conclusion) == _brute_milne(phi, conclusion)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @given(inf=wide_inferences)
+    def test_classically_valid(self, block, inf):
+        with mock.patch.object(semantics, "BLOCK", block):
+            assert classically_valid(inf) == _brute_classically_valid(inf)
 
 
 class TestAntivalidityDecompositions:

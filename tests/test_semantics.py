@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from mixcons import semantics
 from mixcons.formula import Not, Var, atoms, parse_formula
 from mixcons.semantics import (
     HALF,
@@ -17,6 +18,7 @@ from mixcons.semantics import (
     enumerate_valuations,
     eval_formula,
     is_partial_sharpening,
+    rail_blocks,
     valuation_record,
 )
 from mixcons.duality import op_dual
@@ -107,6 +109,46 @@ class TestEnumeration:
 
     def test_constants_ignored(self):
         assert len(list(enumerate_valuations({"p", "T", "L"}))) == 3
+
+
+class TestRailBlocks:
+    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE)])
+    @pytest.mark.parametrize("k", range(5))
+    def test_bit_p_is_the_pth_valuation(self, k, values):
+        names = [f"x{i}" for i in range(k)]
+        [block] = rail_blocks(names, values)
+        positions = [p for p in range(3 ** k) if block.mask >> p & 1]
+        expected = list(enumerate_valuations(names, values))
+        assert [block.valuation(p).assignments for p in positions] == [v.assignments for v in expected]
+        for p, v in zip(positions, expected):
+            for name in names:
+                half, one = block.rails(Var(name))
+                assert (half >> p & 1, one >> p & 1) == (v.value_of(name) >= HALF, v.value_of(name) == ONE)
+
+    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE)])
+    @pytest.mark.parametrize("block_size", [0, 1, 2])
+    def test_blocks_concatenate_to_the_walk(self, block_size, values, monkeypatch):
+        monkeypatch.setattr(semantics, "BLOCK", block_size)
+        names = ["p", "q", "r", "T"]
+        walked = [block.valuation(p).assignments
+                  for block in rail_blocks(names, values)
+                  for p in range(block.full.bit_length()) if block.mask >> p & 1]
+        assert walked == [v.assignments for v in enumerate_valuations(names, values)]
+
+    @given(formulas)
+    def test_rails_agree_with_eval_formula(self, f):
+        [block] = rail_blocks(atoms(f))
+        half, one = block.rails(f)
+        for p in range(block.full.bit_length()):
+            value = eval_formula(f, block.valuation(p))
+            assert (half >> p & 1, one >> p & 1) == (value >= HALF, value == ONE)
+
+    def test_deep_formula_without_recursion(self):
+        f = Var("p")
+        for _ in range(20000):
+            f = Not(f)
+        [block] = rail_blocks({"p"})
+        assert block.rails(f) == block.rails(Var("p"))
 
 
 class TestSharpening:
