@@ -77,6 +77,57 @@ class TestParsing:
             parse_sequent("p => q => r")
 
 
+_OPERAND = ("~", "(", "constant", "variable")
+_NO_OPERAND = "(expected ~ or ( or constant or variable)"
+
+# (text, parse_formula's error, parse_sequent's error); an error is
+# (str(e), e.position, e.expected), None where the text parses.
+PARSE_ERRORS = [
+    ("", ("unexpected 'end of input' at position 0 " + _NO_OPERAND, 0, _OPERAND),
+     ("missing '=>' separator, got 'end of input' at position 0 (expected =>)", 0, ("=>",))),
+    ("   ", ("unexpected 'end of input' at position 3 " + _NO_OPERAND, 3, _OPERAND),
+     ("missing '=>' separator, got 'end of input' at position 3 (expected =>)", 3, ("=>",))),
+    ("p $ q", ("unexpected character '$' at position 2", 2, ()),
+     ("unexpected character '$' at position 2", 2, ())),
+    ("$", ("unexpected character '$' at position 0", 0, ()),
+     ("unexpected character '$' at position 0", 0, ())),
+    ("p &", ("unexpected 'end of input' at position 3 " + _NO_OPERAND, 3, _OPERAND),
+     ("unexpected 'end of input' at position 3 " + _NO_OPERAND, 3, _OPERAND)),
+    ("(p", ("unexpected 'end of input' at position 2 (expected ))", 2, (")",)),
+     ("unexpected 'end of input' at position 2 (expected ))", 2, (")",))),
+    ("p)", ("unexpected ')' at position 1 (expected end)", 1, ("end",)),
+     ("missing '=>' separator, got ')' at position 1 (expected =>)", 1, ("=>",))),
+    ("p q", ("unexpected 'q' at position 2 (expected end)", 2, ("end",)),
+     ("missing '=>' separator, got 'q' at position 2 (expected =>)", 2, ("=>",))),
+    ("~", ("unexpected 'end of input' at position 1 " + _NO_OPERAND, 1, _OPERAND),
+     ("unexpected 'end of input' at position 1 " + _NO_OPERAND, 1, _OPERAND)),
+    ("p, => q", ("unexpected ',' at position 1 (expected end)", 1, ("end",)),
+     ("unexpected '=>' at position 3 " + _NO_OPERAND, 3, _OPERAND)),
+    ("p => q => r", ("unexpected '=>' at position 2 (expected end)", 2, ("end",)),
+     ("unexpected '=>' at position 7 (expected end)", 7, ("end",))),
+    ("(p | => q", ("unexpected '=>' at position 5 " + _NO_OPERAND, 5, _OPERAND),
+     ("unexpected '=>' at position 5 " + _NO_OPERAND, 5, _OPERAND)),
+    ("p =>\n", ("unexpected '=>' at position 2 (expected end)", 2, ("end",)), None),
+    ("p,\tq\t=>\tr", ("unexpected ',' at position 1 (expected end)", 1, ("end",)), None),
+    ("p\t=>\tq\t$", ("unexpected character '$' at position 7", 7, ()),
+     ("unexpected character '$' at position 7", 7, ())),
+]
+
+
+class TestParseErrors:
+    """Message, position and expected tokens of every error kind, pinned."""
+
+    @pytest.mark.parametrize("text,formula_error,sequent_error", PARSE_ERRORS)
+    def test_table(self, text, formula_error, sequent_error):
+        for parse, error in ((parse_formula, formula_error), (parse_sequent, sequent_error)):
+            if error is None:
+                parse(text)
+                continue
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert (str(exc.value), exc.value.position, exc.value.expected) == error
+
+
 class TestPrinting:
     def test_minimal_parentheses(self):
         assert print_formula(Or(P, And(Q, Not(Q)))) == "p | q & ~q"
