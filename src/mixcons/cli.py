@@ -35,7 +35,6 @@ from .decomposition import (
     LambdaNotAllowedError,
     MilneFailure,
     ProductWitness,
-    SumRefutation,
     lp_k3_connector_lambda_free,
     milne_interpolant,
     product_witness,
@@ -143,7 +142,6 @@ def cmd_decompose(args: argparse.Namespace) -> Answer:
             kind = "always-false-premise" if isinstance(reason, AlwaysZeroPremise) else "always-true-conclusion"
             result = {"member": True, "reason": kind, "formula": print_formula(reason.formula)}
         else:
-            assert isinstance(reason, SumRefutation)
             result = {
                 "member": False,
                 "pivot": print_formula(reason.pivot),

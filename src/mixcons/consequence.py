@@ -97,9 +97,14 @@ def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Ver
     """The search the module docstring describes, for validity or antivalidity."""
     half_in_premises = (HALF in logic.premise_designated) != anti
     half_in_conclusions = (HALF in logic.conclusion_designated) == anti
+    # An empty side constrains nothing, so the other side picks the search.
+    if not inf.conclusions:
+        half_in_conclusions = half_in_premises
+    if not inf.premises:
+        half_in_premises = half_in_conclusions
     if half_in_premises and half_in_conclusions:
         holds = antisatisfies if anti else satisfies
-        values = dict.fromkeys(sorted(inf.variables()), HALF)
+        values = dict.fromkeys(inf.variable_names, HALF)
         if holds(logic, Valuation(values), inf):
             return Verdict(True)
         for name in values:

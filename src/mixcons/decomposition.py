@@ -27,7 +27,6 @@ from .formula import (
     atoms,
     atoms_of_set,
     conjoin,
-    contains_lambda,
     disjoin,
     fresh_variable,
     print_formula,
@@ -35,6 +34,7 @@ from .formula import (
     BOT,
     TOP,
     LAM,
+    LAM_ATOM,
 )
 from .semantics import (
     ONE,
@@ -184,7 +184,6 @@ def st_connecting_formula(inf: Inference) -> Union[ProductWitness, Decomposition
     """
     verdict = valid(ST, inf)
     if not verdict.valid:
-        assert verdict.countermodel is not None
         return DecompositionFailure(verdict.countermodel)
     connector = TOP if not inf.premises else k3_dnf(inf.premises)
     return product_witness(inf, connector, K3, LP)
@@ -217,7 +216,6 @@ def ts_sum_decision(inf: Inference) -> TsSumDecision:
     if witness is not None:
         return TsSumDecision(True, witness)
     base = valid(TS, inf).countermodel
-    assert base is not None
     pivot_name = fresh_variable(inf.atoms())
     refutation = SumRefutation(
         pivot=Var(pivot_name),
@@ -240,15 +238,13 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
     the conjoined premises together with excluded middle over every atom
     of the conclusions.
     """
-    for f in list(inf.premises) + list(inf.conclusions):
-        if contains_lambda(f):
-            raise LambdaNotAllowedError(
-                "lambda-free construction; the full language is handled by the "
-                "universal lambda witness"
-            )
+    if LAM_ATOM in inf.atoms():
+        raise LambdaNotAllowedError(
+            "lambda-free construction; the full language is handled by the "
+            "universal lambda witness"
+        )
     verdict = valid(ST, inf)
     if not verdict.valid:
-        assert verdict.countermodel is not None
         return DecompositionFailure(verdict.countermodel)
 
     witness = _constant_witness(inf)
@@ -278,9 +274,10 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
     no remaining literals becomes T.  The result is K3-entailed by `phi`
     and LP-entails `psi`.
     """
-    if contains_lambda(phi) or contains_lambda(psi):
+    inf = Inference((phi,), (psi,))
+    if LAM_ATOM in inf.atoms():
         return MilneFailure("lambda-present")
-    if not classically_valid(Inference((phi,), (psi,))):
+    if not classically_valid(inf):
         return MilneFailure("invalid-inference")
     if classically_valid(Inference((), (Not(phi),))):
         return MilneFailure("contradiction")
@@ -288,7 +285,8 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
         return MilneFailure("tautology")
 
     disjuncts = _strict_dnf((phi,), atoms(phi) & atoms(psi))
-    assert disjuncts, "a classically satisfiable premise has a strict valuation"
+    if not disjuncts:
+        raise RuntimeError(f"classically satisfiable premise {print_formula(phi)} has no strict valuation")
     return disjoin(disjuncts)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 
 @dataclass(frozen=True)
@@ -138,47 +138,46 @@ def disjoin(formulas: Iterable[Formula]) -> Formula:
 # --------------------------------------------------------------------------
 # printing
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, And):
-        return 2
-    if isinstance(f, Not):
-        return 3
-    return 4
+_PREC = {Or: 1, And: 2, Not: 3}  # anything else binds tightest: 4
+_CONSTANT_TEXT = {Top: TOP_ATOM, Bot: BOT_ATOM, Lambda: LAM_ATOM}
+
+
+def _text(f: Formula, found: set[Atom]) -> str:
+    """`print_formula(f)`, adding the atoms of f to `found` on the way."""
+    kind = type(f)
+    if kind is Var:
+        found.add(f.name)
+        return f.name
+    if kind is Not:
+        sub = _text(f.sub, found)
+        return "~" + sub if _PREC.get(type(f.sub), 4) > 2 else f"~({sub})"
+    prec = _PREC.get(kind)
+    if prec is None:
+        atom = _CONSTANT_TEXT[kind]
+        found.add(atom)
+        return atom
+    left = _text(f.left, found)
+    if _PREC.get(type(f.left), 4) < prec:
+        left = f"({left})"
+    right = _text(f.right, found)
+    if _PREC.get(type(f.right), 4) <= prec:
+        right = f"({right})"
+    return f"{left} & {right}" if kind is And else f"{left} | {right}"
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; inverse of parse_formula."""
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Lambda):
-        return "L"
-    if isinstance(f, Not):
-        sub = print_formula(f.sub)
-        if _prec(f.sub) < 3:
-            sub = f"({sub})"
-        return "~" + sub
-    op, prec = ("&", 2) if isinstance(f, And) else ("|", 1)
-    left = print_formula(f.left)
-    if _prec(f.left) < prec:
-        left = f"({left})"
-    right = print_formula(f.right)
-    if _prec(f.right) <= prec:
-        right = f"({right})"
-    return f"{left} {op} {right}"
+    return _text(f, set())
 
 
 # --------------------------------------------------------------------------
 # inferences
 
-def _normalize_side(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
-    unique = {print_formula(f): f for f in formulas}
-    return tuple(unique[key] for key in sorted(unique))
+def _normalize_side(formulas: Iterable[Formula], found: set[Atom]) -> tuple[tuple[str, ...], tuple[Formula, ...]]:
+    """Sorted distinct texts and their formulas; the atoms go into `found`."""
+    unique = {_text(f, found): f for f in formulas}
+    texts = tuple(sorted(unique))
+    return texts, tuple(unique[text] for text in texts)
 
 
 @dataclass(frozen=True)
@@ -186,26 +185,34 @@ class Inference:
     """An ordered pair of finite formula sets, premises => conclusions.
 
     Both sides are stored duplicate-free and sorted by canonical printing,
-    so iteration order is deterministic.
+    so iteration order is deterministic.  The printed texts, the atoms and
+    the sorted variable names are kept from that one walk; they are not
+    fields, so equality, hashing and repr see the two sides only.
     """
 
     premises: tuple[Formula, ...]
     conclusions: tuple[Formula, ...]
 
     def __init__(self, premises: Iterable[Formula], conclusions: Iterable[Formula]):
-        object.__setattr__(self, "premises", _normalize_side(premises))
-        object.__setattr__(self, "conclusions", _normalize_side(conclusions))
+        found: set[Atom] = set()
+        premise_texts, premises = _normalize_side(premises, found)
+        conclusion_texts, conclusions = _normalize_side(conclusions, found)
+        names = tuple(sorted(found - CONSTANT_ATOMS))
+        # Frozen: the attributes go straight into the instance dict.
+        self.__dict__.update(
+            premises=premises, conclusions=conclusions, _texts=(premise_texts, conclusion_texts),
+            _atoms=frozenset(found), _variables=frozenset(names), variable_names=names,
+        )
 
     def atoms(self) -> frozenset[Atom]:
-        return atoms_of_set(self.premises) | atoms_of_set(self.conclusions)
+        return self._atoms
 
     def variables(self) -> frozenset[Atom]:
-        return frozenset(a for a in self.atoms() if is_variable_atom(a))
+        return self._variables
 
 
 def print_sequent(inf: Inference) -> str:
-    left = ", ".join(print_formula(f) for f in inf.premises)
-    right = ", ".join(print_formula(f) for f in inf.conclusions)
+    left, right = (", ".join(texts) for texts in inf._texts)
     if left:
         return f"{left} => {right}" if right else f"{left} =>"
     return f"=> {right}" if right else "=>"
@@ -230,27 +237,26 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[a-z][a-zA-Z0-9_]*)"
     r"|(?P<arrow>=>)"
     r"|(?P<punct>[~&|(),])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        assert kind is not None
-        yield kind, m.group(), m.start()
-    yield "end", "", len(text)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.index = 0
 
     @property

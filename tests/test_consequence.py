@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from mixcons.formula import (
     BOT,
@@ -39,7 +40,7 @@ from mixcons.consequence import (
     verdict_record,
 )
 
-from conftest import formulas, inferences, lambda_free_inferences, wide_inferences
+from conftest import formulas, inferences, lambda_free_inferences, wide_formulas, wide_inferences
 from oracles import brute_antivalid, brute_first_countermodel, brute_valid
 
 MIXED_EXAMPLE = parse_sequent("p | (q & ~q) => p & (q | ~q)")
@@ -261,6 +262,30 @@ class TestFirstCountermodel:
         assert valid(TS, inf).valid
         assert brute_valid("TS", inf)
         assert antivalid(ST, Inference(inf.conclusions, inf.premises)).valid
+
+
+def _one_sided(formulas):
+    return st.tuples(st.lists(formulas, min_size=1, max_size=3), st.booleans()).map(
+        lambda t: Inference(t[0], ()) if t[1] else Inference((), t[0]))
+
+
+class TestOneSided:
+    """With one side empty the other side picks the search space, so K3/LP
+    (anti)theoremhood takes the 2^n walk or the n + 1 greedy path."""
+
+    @settings(max_examples=300)
+    @given(_one_sided(wide_formulas))
+    def test_matches_brute_force_walk(self, inf):
+        _assert_brute_force_walk(inf, MODES)
+
+    @pytest.mark.parametrize("text", [
+        " & ".join(f"x{i}" for i in range(9)) + " =>",
+        "=> ~x0 & (" + " | ".join(f"x{i}" for i in range(1, 9)) + ")",
+    ])
+    def test_past_the_first_block(self, text):
+        inf = parse_sequent(text)
+        assert len(inf.variables()) > semantics.BLOCK
+        _assert_brute_force_walk(inf, MODES)
 
 
 class TestBlockBoundary:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from mixcons import semantics
+from mixcons import decomposition, semantics
 from mixcons.formula import (
     Inference,
     Not,
@@ -259,6 +259,11 @@ class TestMilne:
         outcome = milne_interpolant(LAM, Var("p"))
         assert isinstance(outcome, MilneFailure)
         assert outcome.reason == "lambda-present"
+
+    def test_missing_strict_valuation_names_the_premise(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "_strict_dnf", lambda gamma, literal_atoms: [])
+        with pytest.raises(RuntimeError, match=r"premise p & q has no strict valuation"):
+            milne_interpolant(parse_formula("p & q"), Var("p"))
 
     @given(lambda_free_formulas, lambda_free_formulas)
     def test_interpolant_properties(self, phi, psi):

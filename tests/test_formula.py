@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from mixcons.formula import (
     And,
@@ -9,6 +10,7 @@ from mixcons.formula import (
     ParseError,
     Var,
     BOT,
+    CONSTANT_ATOMS,
     LAM,
     TOP,
     atoms,
@@ -198,3 +200,22 @@ class TestInferenceNormalization:
     def test_atoms(self):
         assert Inference((P,), (And(Q, TOP),)).atoms() == {"p", "q", "T"}
         assert Inference((P,), (And(Q, TOP),)).variables() == {"p", "q"}
+
+
+class TestInferenceKeptValues:
+    """The texts, atoms and variable names kept at construction match a fresh walk."""
+
+    @given(st.lists(formulas, max_size=4), st.lists(formulas, max_size=4), st.randoms())
+    def test_match_a_fresh_walk(self, premises, conclusions, rnd):
+        inf = Inference(premises, conclusions)
+        left = ", ".join(print_formula(f) for f in inf.premises)
+        right = ", ".join(print_formula(f) for f in inf.conclusions)
+        assert print_sequent(inf) == " ".join(part for part in (left, "=>", right) if part)
+        assert inf.atoms() == atoms_of_set(premises) | atoms_of_set(conclusions)
+        assert inf.variables() == inf.atoms() - CONSTANT_ATOMS
+        assert inf.variable_names == tuple(sorted(inf.variables()))
+
+        shuffled = Inference(rnd.sample(premises * 2, 2 * len(premises)), reversed(conclusions))
+        assert shuffled == inf and hash(shuffled) == hash(inf)
+        assert print_sequent(shuffled) == print_sequent(inf)
+        assert repr(inf) == f"Inference(premises={inf.premises!r}, conclusions={inf.conclusions!r})"
