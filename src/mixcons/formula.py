@@ -106,10 +106,6 @@ def variables_of_set(formulas: Iterable[Formula]) -> frozenset[Atom]:
     return frozenset(a for a in atoms_of_set(formulas) if is_variable_atom(a))
 
 
-def contains_lambda(f: Formula) -> bool:
-    return LAM_ATOM in atoms(f)
-
-
 def fresh_variable(avoid: Iterable[Atom]) -> Atom:
     """Smallest name in the sequence p0, p1, ... not contained in `avoid`."""
     taken = set(avoid)
