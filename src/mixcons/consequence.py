@@ -11,9 +11,7 @@ sharpening, so the first is classical and only {0,1}^n is walked.  Where
 both sides may be 1/2 (TS-validity, ST-antivalidity), they are closed under
 moving values to 1/2: all-1/2 decides, and the first countermodel sets each
 variable to 0 if that stays a countermodel, else 1/2, in at most n + 1
-evaluations.  K3 and LP search all 3^n valuations.  An empty side
-constrains nothing, so a one-sided sequent is searched as its other side
-alone allows: 2^n or n + 1, never 3^n.  The 3^n and 2^n walks
+evaluations.  K3 and LP search all 3^n valuations.  The 3^n and 2^n walks
 evaluate each side formula once per block of up to 3^8 valuations, as bit
 masks (`semantics.rail_blocks`); the lowest countermodel bit is the first.
 """
@@ -99,14 +97,9 @@ def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Ver
     """The search the module docstring describes, for validity or antivalidity."""
     half_in_premises = (HALF in logic.premise_designated) != anti
     half_in_conclusions = (HALF in logic.conclusion_designated) == anti
-    # An empty side constrains nothing, so the other side picks the search.
-    if not inf.conclusions:
-        half_in_conclusions = half_in_premises
-    if not inf.premises:
-        half_in_premises = half_in_conclusions
     if half_in_premises and half_in_conclusions:
         holds = antisatisfies if anti else satisfies
-        values = dict.fromkeys(inf.variable_names, HALF)
+        values = dict.fromkeys(sorted(inf.variables()), HALF)
         if holds(logic, Valuation(values), inf):
             return Verdict(True)
         for name in values:

@@ -66,10 +66,6 @@ LAM_ATOM: Atom = "L"
 CONSTANT_ATOMS = frozenset({TOP_ATOM, BOT_ATOM, LAM_ATOM})
 
 
-def is_variable_atom(atom: Atom) -> bool:
-    return atom not in CONSTANT_ATOMS
-
-
 def atom_to_formula(atom: Atom) -> Formula:
     if atom == TOP_ATOM:
         return TOP
@@ -103,7 +99,7 @@ def atoms_of_set(formulas: Iterable[Formula]) -> frozenset[Atom]:
 
 
 def variables_of_set(formulas: Iterable[Formula]) -> frozenset[Atom]:
-    return frozenset(a for a in atoms_of_set(formulas) if is_variable_atom(a))
+    return atoms_of_set(formulas) - CONSTANT_ATOMS
 
 
 def fresh_variable(avoid: Iterable[Atom]) -> Atom:
@@ -181,9 +177,9 @@ class Inference:
     """An ordered pair of finite formula sets, premises => conclusions.
 
     Both sides are stored duplicate-free and sorted by canonical printing,
-    so iteration order is deterministic.  The printed texts, the atoms and
-    the sorted variable names are kept from that one walk; they are not
-    fields, so equality, hashing and repr see the two sides only.
+    so iteration order is deterministic.  The printed texts and the atoms
+    are kept from that one walk; they are not fields, so equality, hashing
+    and repr see the two sides only.
     """
 
     premises: tuple[Formula, ...]
@@ -193,18 +189,15 @@ class Inference:
         found: set[Atom] = set()
         premise_texts, premises = _normalize_side(premises, found)
         conclusion_texts, conclusions = _normalize_side(conclusions, found)
-        names = tuple(sorted(found - CONSTANT_ATOMS))
         # Frozen: the attributes go straight into the instance dict.
-        self.__dict__.update(
-            premises=premises, conclusions=conclusions, _texts=(premise_texts, conclusion_texts),
-            _atoms=frozenset(found), _variables=frozenset(names), variable_names=names,
-        )
+        self.__dict__.update(premises=premises, conclusions=conclusions,
+                             _texts=(premise_texts, conclusion_texts), _atoms=frozenset(found))
 
     def atoms(self) -> frozenset[Atom]:
         return self._atoms
 
     def variables(self) -> frozenset[Atom]:
-        return self._variables
+        return self._atoms - CONSTANT_ATOMS
 
 
 def print_sequent(inf: Inference) -> str:

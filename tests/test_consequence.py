@@ -270,8 +270,8 @@ def _one_sided(formulas):
 
 
 class TestOneSided:
-    """With one side empty the other side picks the search space, so K3/LP
-    (anti)theoremhood takes the 2^n walk or the n + 1 greedy path."""
+    """Sequents with one side empty get the brute-force verdict and first
+    countermodel in all eight (logic, mode) pairs, also past the first block."""
 
     @settings(max_examples=300)
     @given(_one_sided(wide_formulas))
