@@ -5,15 +5,15 @@ one for conclusions.  K3 and LP use the same set on both sides; ST and TS
 mix strict and tolerant designation.
 
 Validity and antivalidity return the lexicographically first countermodel
-(sorted variables, 0 < 1/2 < 1).  Where neither side of a countermodel may
-be 1/2 (ST-validity, TS-antivalidity), countermodels are closed under
-sharpening, so the first is classical and only {0,1}^n is walked.  Where
-both sides may be 1/2 (TS-validity, ST-antivalidity), they are closed under
-moving values to 1/2: all-1/2 decides, and the first countermodel sets each
-variable to 0 if that stays a countermodel, else 1/2, in at most n + 1
-evaluations.  K3 and LP search all 3^n valuations.  The 3^n and 2^n walks
-evaluate each side formula once per block of up to 3^8 valuations, as bit
-masks (`semantics.rail_blocks`); the lowest countermodel bit is the first.
+(sorted variables, 0 < 1/2 < 1): the lowest position of a block of
+valuations where the side formulas' rails (`semantics.rail_blocks`) make
+every premise and no conclusion designated (for antivalidity: no premise
+and every conclusion).  K3 and LP walk all 3^n valuations.  Countermodels
+of ST-validity and TS-antivalidity are closed under sharpening, so only
+{0,1}^n is walked.  Those of TS-validity and ST-antivalidity are closed
+under moving values to 1/2: each chunk of up to BLOCK sorted variables is
+one {0,1/2} block, with earlier chunks fixed and later ones 1/2, and its
+lowest hit fixes it; none in the first chunk means valid.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from . import semantics
 from .formula import Formula, Inference, print_sequent
 from .semantics import (
     HALF,
@@ -29,7 +30,7 @@ from .semantics import (
     ZERO,
     TruthValue,
     Valuation,
-    eval_formula,
+    _rail_block,
     rail_blocks,
     valuation_record,
 )
@@ -59,56 +60,59 @@ class Verdict:
     countermodel: Optional[Valuation] = None
 
 
-def satisfies(logic: LogicStandard, v: Valuation, inf: Inference) -> bool:
-    """Designated premises (all) imply a designated conclusion (some)."""
-    if all(eval_formula(g, v) in logic.premise_designated for g in inf.premises):
-        return any(eval_formula(d, v) in logic.conclusion_designated for d in inf.conclusions)
-    return True
-
-
-def antisatisfies(logic: LogicStandard, v: Valuation, inf: Inference) -> bool:
-    """Non-designated premises (all) imply a non-designated conclusion (some)."""
-    if all(eval_formula(g, v) not in logic.premise_designated for g in inf.premises):
-        return any(eval_formula(d, v) not in logic.conclusion_designated for d in inf.conclusions)
-    return True
-
-
-def _block_walk(logic: LogicStandard, inf: Inference, anti: bool, values: tuple[TruthValue, ...]) -> Verdict:
-    """First countermodel into `values`: every premise and no conclusion
+def _hits(block, sides) -> int:
+    """The positions of `block` where every premise and no conclusion is
     designated (for antivalidity: no premise and every conclusion)."""
-    # Rail 0 (>= 1/2) is tolerant designation, rail 1 (= 1) strict designation.
-    premise_rail = 0 if HALF in logic.premise_designated else 1
-    conclusion_rail = 0 if HALF in logic.conclusion_designated else 1
-    sides = [(g, premise_rail, anti) for g in inf.premises]
-    sides += [(d, conclusion_rail, not anti) for d in inf.conclusions]
+    full, hits = block.full, block.mask
+    for f, rail, undesignated in sides:
+        designated = block.rails(f)[rail]
+        hits &= full ^ designated if undesignated else designated
+        if not hits:
+            break
+    return hits
+
+
+def _block_walk(sides, inf: Inference, values: tuple[TruthValue, ...]) -> Verdict:
+    """First countermodel into `values`, a block of valuations at a time."""
     for block in rail_blocks(inf.atoms(), values):
-        full, hits = block.full, block.mask
-        for f, rail, undesignated in sides:
-            designated = block.rails(f)[rail]
-            hits &= full ^ designated if undesignated else designated
-            if not hits:
-                break
+        hits = _hits(block, sides)
         if hits:
             return Verdict(False, block.valuation((hits & -hits).bit_length() - 1))
     return Verdict(True)
+
+
+def _chunk_walk(sides, inf: Inference) -> Verdict:
+    """First countermodel, one {0,1/2} block per chunk (module docstring)."""
+    names = sorted(inf.variables())
+    countermodel = Valuation(dict.fromkeys(names, HALF))
+    chunk = semantics.BLOCK  # read per call, so that a patched BLOCK is seen
+    for start in range(0, len(names) or 1, chunk):
+        block = _rail_block(countermodel, tuple(names[start:start + chunk]), (ZERO, HALF))
+        hits = _hits(block, sides)
+        if not hits:  # first chunk only: later ones hit where they are all 1/2
+            return Verdict(True)
+        countermodel = block.valuation((hits & -hits).bit_length() - 1)
+    return Verdict(False, countermodel)
+
+
+def _sides(logic: LogicStandard, inf: Inference, anti: bool) -> list:
+    """(formula, rail, undesignated) per side formula; rail 0 (>= 1/2) is
+    tolerant designation, rail 1 (= 1) strict designation."""
+    premise_rail = 0 if HALF in logic.premise_designated else 1
+    conclusion_rail = 0 if HALF in logic.conclusion_designated else 1
+    sides = [(g, premise_rail, anti) for g in inf.premises]
+    return sides + [(d, conclusion_rail, not anti) for d in inf.conclusions]
 
 
 def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Verdict:
     """The search the module docstring describes, for validity or antivalidity."""
     half_in_premises = (HALF in logic.premise_designated) != anti
     half_in_conclusions = (HALF in logic.conclusion_designated) == anti
+    sides = _sides(logic, inf, anti)
     if half_in_premises and half_in_conclusions:
-        holds = antisatisfies if anti else satisfies
-        values = dict.fromkeys(sorted(inf.variables()), HALF)
-        if holds(logic, Valuation(values), inf):
-            return Verdict(True)
-        for name in values:
-            values[name] = ZERO
-            if holds(logic, Valuation(values), inf):
-                values[name] = HALF
-        return Verdict(False, Valuation(values))
+        return _chunk_walk(sides, inf)
     space = VALUE_ORDER if half_in_premises or half_in_conclusions else (ZERO, ONE)
-    return _block_walk(logic, inf, anti, space)
+    return _block_walk(sides, inf, space)
 
 
 def valid(logic: LogicStandard, inf: Inference) -> Verdict:
@@ -133,7 +137,7 @@ def classically_valid(inf: Inference) -> bool:
     Meaningful on the lambda-free fragment, where it coincides with
     ST-validity.
     """
-    return _block_walk(K3, inf, False, (ZERO, ONE)).valid
+    return _block_walk(_sides(K3, inf, False), inf, (ZERO, ONE)).valid
 
 
 def verdict_record(logic: LogicStandard, inf: Inference, verdict: Verdict, anti: bool = False) -> dict:

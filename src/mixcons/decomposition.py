@@ -37,11 +37,11 @@ from .formula import (
     LAM_ATOM,
 )
 from .semantics import (
+    HALF,
     ONE,
     ZERO,
     Valuation,
-    all_half_valuation,
-    eval_formula,
+    _rail_block,
     rail_blocks,
 )
 from .consequence import (
@@ -195,12 +195,12 @@ def _constant_witness(inf: Inference) -> Optional[Union[AlwaysZeroPremise, Alway
     The all-1/2 valuation lies below every other, so a classical value there
     is constant; TS-validity holds exactly when there is such a formula.
     """
-    half = all_half_valuation()
+    half = _rail_block(Valuation(dict.fromkeys(inf.variables(), HALF)), ())  # all-1/2 only
     for g in inf.premises:
-        if eval_formula(g, half) == ZERO:
+        if half.rails(g) == (0, 0):
             return AlwaysZeroPremise(g)
     for d in inf.conclusions:
-        if eval_formula(d, half) == ONE:
+        if half.rails(d) == (1, 1):
             return AlwaysOneConclusion(d)
     return None
 

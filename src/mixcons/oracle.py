@@ -31,8 +31,8 @@ from .semantics import (
     ONE,
     Valuation,
     all_half_valuation,
-    enumerate_valuations,
     eval_formula,
+    rail_blocks,
 )
 from .consequence import (
     STANDARDS,
@@ -146,12 +146,11 @@ def _prop_monotonicity(rng, variables, max_depth, standards):
 
 def _prop_all_half(rng, variables, max_depth, standards):
     f = random_formula(rng, variables, max_depth)
-    half = all_half_valuation()
-    tolerated = any(eval_formula(f, v) != ZERO for v in enumerate_valuations(atoms(f)))
-    if tolerated and eval_formula(f, half) == ZERO:
+    rails = [(*block.rails(f), block.full) for block in rail_blocks(atoms(f))]
+    value = eval_formula(f, all_half_valuation())
+    if value == ZERO and any(tolerant for tolerant, _, _ in rails):
         return f"tolerant satisfiability of {print_formula(f)} lost at the all-1/2 valuation"
-    falsifiable = any(eval_formula(f, v) != ONE for v in enumerate_valuations(atoms(f)))
-    if falsifiable and eval_formula(f, half) == ONE:
+    if value == ONE and any(strict != full for _, strict, full in rails):
         return f"strict falsifiability of {print_formula(f)} lost at the all-1/2 valuation"
     return None
 

@@ -5,11 +5,12 @@ is min, negation is the complement v -> 1 - v.  The three values are an
 exact enum (internally doubled to 0, 1, 2), never floats, so the
 min/max/complement identities hold on the nose.
 
-`eval_formula` gives one value under one valuation.  The 3^n and 2^n
-walks use `rail_blocks`: a block fixes the leading variables and spans the
-last k <= BLOCK, and a formula's value on it is two big-int masks (rails),
-bit p set where the p-th valuation makes it >= 1/2 and where it makes it 1
-(the dual-rail encoding of Bryant & Seger, CAV 1990).
+Formulas are evaluated one way, as rails, with an explicit stack: over a
+block of valuations, two big-int masks with bit p set where the p-th
+valuation makes the formula >= 1/2 and where it makes it 1 (the dual-rail
+encoding of Bryant & Seger, CAV 1990).  `rail_blocks` walks 3^n or 2^n
+valuations in blocks spanning the last k <= BLOCK variables;
+`eval_formula` reads one-bit rails at a single valuation.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ ONE = TruthValue.ONE
 VALUE_ORDER = (ZERO, HALF, ONE)
 # Complements indexed by value: a tuple lookup, not an enum construction.
 _NEGATION = (ONE, HALF, ZERO)
+_CONSTANT_VALUES = {TOP_ATOM: ONE, BOT_ATOM: ZERO, LAM_ATOM: HALF}
 
 
 class UnmappedVariableError(KeyError):
@@ -77,43 +79,16 @@ class Valuation:
 
     def value_of(self, atom: Atom) -> TruthValue:
         value = self.assignments.get(atom)
-        if value is not None:
-            return value
-        if atom == TOP_ATOM:
-            return ONE
-        if atom == BOT_ATOM:
-            return ZERO
-        if atom == LAM_ATOM:
-            return HALF
-        value = self.assignments.get(atom, self.default)
         if value is None:
-            raise UnmappedVariableError(atom)
+            value = _CONSTANT_VALUES.get(atom, self.default)
+            if value is None:
+                raise UnmappedVariableError(atom)
         return value
 
     def with_assignment(self, name: str, value: TruthValue) -> "Valuation":
         updated = dict(self.assignments)
         updated[name] = value
         return Valuation(updated, self.default)
-
-
-def eval_formula(f: Formula, v: Valuation) -> TruthValue:
-    # Most frequent node kinds first; min and max written out, because the
-    # builtins compare enum members several times slower.
-    if isinstance(f, Var):
-        return v.value_of(f.name)
-    if isinstance(f, Not):
-        return _NEGATION[eval_formula(f.sub, v)]
-    if isinstance(f, And):
-        x, y = eval_formula(f.left, v), eval_formula(f.right, v)
-        return x if x <= y else y
-    if isinstance(f, Or):
-        x, y = eval_formula(f.left, v), eval_formula(f.right, v)
-        return x if x >= y else y
-    if isinstance(f, Top):
-        return ONE
-    if isinstance(f, Bot):
-        return ZERO
-    return HALF  # Lambda
 
 
 def enumerate_valuations(domain: Iterable[Atom],
@@ -135,18 +110,18 @@ Rails = tuple[int, int]  # (value >= 1/2, value = 1), bit p for the p-th valuati
 
 
 @functools.cache
-def _block_rails(k: int) -> tuple[int, int, tuple[Rails, ...]]:
-    """All positions, the positions with no 1/2, and each variable's rails,
-    for k variables laid out in `enumerate_valuations` order."""
-    full, classical, rails = 1, 1, ()
+def _block_rails(k: int, values: tuple[TruthValue, ...]) -> tuple[int, int, tuple[Rails, ...]]:
+    """All positions, the positions whose valuation lies in `values`, and each
+    variable's rails, for k variables laid out in `enumerate_valuations` order."""
+    full, mask, rails = 1, 1, ()
     for j in range(k):
         # A new first variable is 0, 1/2 and 1 on three thirds; the others repeat.
         size = 3 ** j
         first = ((1 << 2 * size) - 1) << size, ((1 << size) - 1) << 2 * size
         rails = (first, *((h | h << size | h << 2 * size, o | o << size | o << 2 * size) for h, o in rails))
-        classical |= classical << 2 * size
+        mask = sum(mask << value * size for value in values)
         full = (1 << 3 * size) - 1
-    return full, classical, rails
+    return full, mask, rails
 
 
 def _rails(f: Formula, env: dict[Atom, Rails], full: int) -> Rails:
@@ -182,6 +157,23 @@ def _rails(f: Formula, env: dict[Atom, Rails], full: int) -> Rails:
     return out[0]
 
 
+class _PointRails(dict):
+    """Each variable's rails at the one valuation `v` (full = 1), looked up on first use."""
+
+    def __init__(self, v: Valuation):
+        self.v = v
+
+    def __missing__(self, name: Atom) -> Rails:
+        rails = self[name] = ((0, 0), (1, 0), (1, 1))[self.v.value_of(name)]
+        return rails
+
+
+def eval_formula(f: Formula, v: Valuation) -> TruthValue:
+    """The value of f under v: its rails at the one valuation v, summed."""
+    h, o = _rails(f, _PointRails(v), 1)
+    return VALUE_ORDER[h + o]
+
+
 class RailBlock(NamedTuple):
     """The valuations extending `prefix` by every value of the variables `names`."""
 
@@ -200,25 +192,30 @@ class RailBlock(NamedTuple):
         return Valuation({**self.prefix.assignments, **dict(zip(self.names, digits))})
 
 
+def _rail_block(prefix: Valuation, names: tuple[Atom, ...],
+                values: tuple[TruthValue, ...] = VALUE_ORDER) -> RailBlock:
+    """The block over `names` into `values`, other variables fixed by `prefix`
+    (a name in both takes the block's rails and keeps its prefix key order)."""
+    full, mask, rails = _block_rails(len(names), values)
+    constant = ((0, 0), (full, 0), (full, full))  # indexed by value
+    env = {n: constant[v] for n, v in prefix.assignments.items()}
+    env.update(zip(names, rails))
+    return RailBlock(prefix, names, env, full, mask)
+
+
 def rail_blocks(domain: Iterable[Atom],
                 values: tuple[TruthValue, ...] = VALUE_ORDER) -> Iterator[RailBlock]:
     """The walk of `enumerate_valuations(domain, values)`, one block at a time.
 
     `enumerate_valuations` yields the prefixes lazily, in the caller's loop,
     where perfbench's tracer counts them as the caller's valuations.  Ascending
-    bits are enumeration order.  Without 1/2 in `values`, `mask` drops the
-    positions holding a 1/2: the 2^n walk, still in its order.
+    bits are enumeration order; `mask` drops the positions holding a value
+    outside `values`, so the walk keeps that order.
     """
     names = sorted(set(domain) - CONSTANT_ATOMS)
     split = max(0, len(names) - BLOCK)
     tail = tuple(names[split:])
-    full, classical, rails = _block_rails(len(tail))
-    constant = ((0, 0), (full, 0), (full, full))  # indexed by value
-    mask = full if HALF in values else classical
-    tail_rails = dict(zip(tail, rails))
-    prefixes = enumerate_valuations(names[:split], values)
-    return (RailBlock(p, tail, {**tail_rails, **{n: constant[v] for n, v in p.assignments.items()}}, full, mask)
-            for p in prefixes)
+    return (_rail_block(p, tail, values) for p in enumerate_valuations(names[:split], values))
 
 
 def is_partial_sharpening(v_star: Valuation, v: Valuation, sigma: Iterable[Atom]) -> bool:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from typing import Iterable
 from unittest import mock
@@ -11,8 +12,10 @@ from mixcons.formula import (
     LAM,
     TOP,
     Formula,
+    And,
     Inference,
     Not,
+    Or,
     Var,
     atom_to_formula,
     atoms,
@@ -22,6 +25,7 @@ from mixcons.formula import (
     parse_sequent,
 )
 from mixcons import semantics
+from mixcons.randgen import random_formula
 from mixcons.semantics import HALF, ONE, ZERO, Valuation, enumerate_valuations, eval_formula
 from mixcons.consequence import (
     K3,
@@ -30,18 +34,25 @@ from mixcons.consequence import (
     STANDARDS,
     TS,
     LogicStandard,
-    antisatisfies,
     antivalid,
     classically_valid,
     is_antitheorem,
     is_theorem,
-    satisfies,
     valid,
     verdict_record,
 )
 
-from conftest import formulas, inferences, lambda_free_inferences, wide_formulas, wide_inferences
-from oracles import brute_antivalid, brute_first_countermodel, brute_valid
+from conftest import (
+    antisatisfies,
+    formulas,
+    inferences,
+    lambda_free_inferences,
+    satisfies,
+    wide_formulas,
+    wide_inferences,
+)
+import oracles
+from oracles import brute_antivalid, brute_eval, brute_first_countermodel, brute_valid, formula_vars
 
 MIXED_EXAMPLE = parse_sequent("p | (q & ~q) => p & (q | ~q)")
 
@@ -313,6 +324,80 @@ class TestBlockBoundary:
         expected = brute_first_countermodel(name, inf)
         assert expected["x0"] != 0
         assert _decide_like_brute(name, inf, False) == (False, expected)
+
+
+HALF_MODES = [("TS", False), ("ST", True)]
+
+
+def _greedy_first_countermodel(name, inf, anti):
+    """The n + 1 check reference for TS-validity and ST-antivalidity, whose
+    countermodels are closed under moving values to 1/2: None unless all-1/2
+    is a countermodel, else each sorted variable 0 where that stays one, else 1/2."""
+    d1, d2 = oracles.DESIGNATED[name]
+
+    def countermodel(env):
+        premises = [brute_eval(g, env) in d1 for g in inf.premises]
+        conclusions = [brute_eval(d, env) in d2 for d in inf.conclusions]
+        return not any(premises) and all(conclusions) if anti else all(premises) and not any(conclusions)
+
+    names = sorted(set().union(*(formula_vars(f) for f in inf.premises + inf.conclusions)))
+    env = dict.fromkeys(names, oracles.HALF)
+    if not countermodel(env):
+        return None
+    for var in names:
+        env[var] = oracles.ZERO
+        if not countermodel(env):
+            env[var] = oracles.HALF
+    return env
+
+
+def _wide_inference(rng, n):
+    """A two-sided sequent in which each of n variables occurs, as a literal
+    folded into a random side formula."""
+    names = [f"x{i:02d}" for i in range(n)]
+    formulas = [random_formula(rng, names, 3) for _ in range(rng.randint(2, 4))]
+    for name in rng.sample(names, n):
+        i = rng.randrange(len(formulas))
+        literal = Var(name) if rng.random() < 0.5 else Not(Var(name))
+        formulas[i] = (And if rng.random() < 0.5 else Or)(formulas[i], literal)
+    split = rng.randint(1, len(formulas) - 1)
+    return Inference(formulas[:split], formulas[split:])
+
+
+class TestChunkWalk:
+    """TS-validity and ST-antivalidity decide one {0,1/2} block per chunk of
+    BLOCK sorted variables; across chunks the countermodel must stay the
+    n + 1 check greedy's, keys in sorted order."""
+
+    @pytest.mark.parametrize("block", [1, 2, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_linear_greedy(self, block, seed, monkeypatch):
+        monkeypatch.setattr(semantics, "BLOCK", block)
+        rng = random.Random(seed)
+        for n in [0, 40] + [rng.randint(1, 40) for _ in range(18)]:
+            inf = _wide_inference(rng, n)
+            assert len(inf.variables()) == n
+            for name, anti in HALF_MODES:
+                expected = _greedy_first_countermodel(name, inf, anti)
+                verdict, countermodel = _decide_like_brute(name, inf, anti)
+                assert (verdict, countermodel) == (expected is None, expected)
+                if expected is not None:
+                    assert list(countermodel) == sorted(expected)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("name,anti", HALF_MODES)
+    def test_zeros_on_both_sides_of_a_chunk_boundary(self, n, name, anti):
+        # x7 and x8 close the first chunk and open the second; the side
+        # formulas x0..x6 and x9 keep the others at 1/2.
+        names = [f"x{i}" for i in range(n)]
+        kept = ", ".join(names[:7] + ["~x7 | x8"] + names[9:])
+        zeroed = " | ".join(names[7:])
+        inf = parse_sequent(f"{zeroed} => {kept}" if anti else f"{kept} => {zeroed}")
+        assert names[semantics.BLOCK - 1:semantics.BLOCK + 1] == ["x7", "x8"]
+        expected = brute_first_countermodel(name, inf, anti)
+        assert expected["x7"] == expected["x8"] == 0
+        assert set(expected.values()) == {0, oracles.HALF}
+        assert _decide_like_brute(name, inf, anti) == (False, expected)
 
 
 class TestTheorems:

@@ -24,7 +24,7 @@ from mixcons.formula import (
     TOP,
 )
 from mixcons.semantics import HALF, ONE, ZERO
-from mixcons.consequence import K3, LP, ST, TS, antivalid, classically_valid, satisfies, valid
+from mixcons.consequence import K3, LP, ST, TS, antivalid, classically_valid, valid
 from mixcons.decomposition import (
     AlwaysOneConclusion,
     AlwaysZeroPremise,
@@ -51,6 +51,7 @@ from conftest import (
     inferences,
     lambda_free_formulas,
     lambda_free_inferences,
+    satisfies,
     wide_formulas,
     wide_inferences,
 )

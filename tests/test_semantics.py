@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from mixcons import semantics
-from mixcons.formula import Not, Var, atoms, parse_formula
+from mixcons.formula import And, Not, Var, atoms, parse_formula
 from mixcons.semantics import (
     HALF,
     ONE,
@@ -91,6 +91,29 @@ class TestEval:
             assert eval_formula(f, extended) == eval_formula(f, v)
 
 
+class TestDeepEvaluation:
+    """Evaluation keeps its own stack: formulas far deeper than the recursion
+    limit, built directly because the parser and printer recurse."""
+
+    DEPTH = 20_000
+
+    def test_deep_negation(self):
+        f = Var("p")
+        for _ in range(self.DEPTH):
+            f = Not(f)
+        for value in VALUE_ORDER:
+            assert eval_formula(f, _val(p=value)) == value
+            assert eval_formula(Not(f), _val(p=value)) == value.complement()
+
+    def test_long_left_nested_conjunction(self):
+        f = Var("p")
+        for _ in range(self.DEPTH - 1):
+            f = And(f, Var("p"))
+        for value in VALUE_ORDER:
+            assert eval_formula(f, _val(p=value)) == value
+        assert eval_formula(And(f, parse_formula("F")), _val(p=ONE)) == ZERO
+
+
 class TestEnumeration:
     def test_single_variable_order(self):
         vals = list(enumerate_valuations({"p"}))
@@ -112,7 +135,7 @@ class TestEnumeration:
 
 
 class TestRailBlocks:
-    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE)])
+    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE), (ZERO, HALF)])
     @pytest.mark.parametrize("k", range(5))
     def test_bit_p_is_the_pth_valuation(self, k, values):
         names = [f"x{i}" for i in range(k)]
@@ -125,7 +148,7 @@ class TestRailBlocks:
                 half, one = block.rails(Var(name))
                 assert (half >> p & 1, one >> p & 1) == (v.value_of(name) >= HALF, v.value_of(name) == ONE)
 
-    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE)])
+    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE), (ZERO, HALF)])
     @pytest.mark.parametrize("block_size", [0, 1, 2])
     def test_blocks_concatenate_to_the_walk(self, block_size, values, monkeypatch):
         monkeypatch.setattr(semantics, "BLOCK", block_size)
