@@ -7,6 +7,9 @@ two outputs carry the same fields.  Exit codes are stable across verbs:
 0 for success/valid, 1 for a semantic negative (invalid, non-member,
 failed interpolation), 2 for usage or parse errors or input nested too
 deeply.
+
+A verb imports `decomposition`, `duality` or `oracle` when it runs, so a
+process that only checks sequents never loads them.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .formula import (
     CONSTANT_ATOMS,
+    Formula,
     Inference,
     ParseError,
     atoms,
@@ -27,22 +31,11 @@ from .formula import (
     print_formula,
     print_sequent,
 )
-from .semantics import enumerate_valuations, eval_formula, valuation_record
+from .semantics import VALUE_ORDER, rail_blocks, valuation_record
 from .consequence import K3, LP, STANDARDS, antivalid, valid, verdict_record
-from .decomposition import (
-    AlwaysZeroPremise,
-    DecompositionFailure,
-    LambdaNotAllowedError,
-    MilneFailure,
-    ProductWitness,
-    lp_k3_connector_lambda_free,
-    milne_interpolant,
-    product_witness,
-    st_connecting_formula,
-    ts_sum_decision,
-)
-from .duality import invert, neg_dual_inference, op_dual, op_dual_inference
-from .oracle import run_oracle
+
+if TYPE_CHECKING:
+    from .decomposition import ProductWitness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -52,11 +45,6 @@ DEFAULT_TABLE_CAP = 6
 
 # What a verb returns: exit code, its records, and the text rendering of one record.
 Answer = tuple[int, Iterable[dict], Callable[[dict], str]]
-
-PRODUCTS = {
-    "st-product": (st_connecting_formula, "K3", "LP"),
-    "lpk3-product": (lp_k3_connector_lambda_free, "LP", "K3"),
-}
 
 
 class UsageError(Exception):
@@ -134,6 +122,15 @@ def cmd_check(args: argparse.Namespace) -> Answer:
 
 
 def cmd_decompose(args: argparse.Namespace) -> Answer:
+    from .decomposition import (
+        AlwaysZeroPremise,
+        DecompositionFailure,
+        LambdaNotAllowedError,
+        lp_k3_connector_lambda_free,
+        st_connecting_formula,
+        ts_sum_decision,
+    )
+
     inf = parse_sequent(args.sequent)
     if args.mode == "ts-sum":
         decision = ts_sum_decision(inf)
@@ -150,7 +147,11 @@ def cmd_decompose(args: argparse.Namespace) -> Answer:
             }
         return EXIT_OK if decision.member else EXIT_NEGATIVE, [_record(inf, args.mode, result)], _result_text
 
-    decide, left_logic, right_logic = PRODUCTS[args.mode]
+    products = {
+        "st-product": (st_connecting_formula, "K3", "LP"),
+        "lpk3-product": (lp_k3_connector_lambda_free, "LP", "K3"),
+    }
+    decide, left_logic, right_logic = products[args.mode]
     try:
         outcome = decide(inf)
     except LambdaNotAllowedError:
@@ -167,6 +168,8 @@ def cmd_decompose(args: argparse.Namespace) -> Answer:
 
 
 def cmd_dualize(args: argparse.Namespace) -> Answer:
+    from .duality import invert, neg_dual_inference, op_dual, op_dual_inference
+
     text = args.input
     if "=>" in text:
         transform = {"op": op_dual_inference, "neg": neg_dual_inference, "invert": invert}[args.map]
@@ -180,6 +183,8 @@ def cmd_dualize(args: argparse.Namespace) -> Answer:
 
 
 def cmd_interpolate(args: argparse.Namespace) -> Answer:
+    from .decomposition import MilneFailure, milne_interpolant, product_witness
+
     inf = parse_sequent(args.sequent)
     if len(inf.premises) != 1 or len(inf.conclusions) != 1:
         raise UsageError("interpolation needs exactly one premise and one conclusion")
@@ -199,11 +204,23 @@ def cmd_truthtable(args: argparse.Namespace) -> Answer:
     count = len(atoms(f) - CONSTANT_ATOMS)
     if count > args.max_vars:
         raise UsageError(f"too many variables ({count}); the cap is {args.max_vars} (raise it with --max-vars)")
-    rows = (
-        {"valuation": valuation_record(v), "value": str(eval_formula(f, v))}
-        for v in enumerate_valuations(atoms(f))
-    )
-    return EXIT_OK, rows, _row_text
+    return EXIT_OK, _table_rows(f), _row_text
+
+
+def _table_rows(f: Formula) -> Iterator[dict]:
+    """One row per valuation, in enumeration order: f's rails over each block, read at each bit."""
+    for block in rail_blocks(atoms(f)):
+        h, o = block.rails(f)
+        for p in range(3 ** len(block.names)):
+            value = VALUE_ORDER[(h >> p & 1) + (o >> p & 1)]
+            yield {"valuation": valuation_record(block.valuation(p)), "value": str(value)}
+
+
+def run_oracle(*bounds):
+    """`oracle.run_oracle`, importing the oracle on first use."""
+    from .oracle import run_oracle
+
+    return run_oracle(*bounds)
 
 
 def cmd_oracle(args: argparse.Namespace) -> Answer:

@@ -18,11 +18,10 @@ lowest hit fixes it; none in the first chunk means valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import semantics
-from .formula import Formula, Inference, print_sequent
+from .formula import Formula, HashableRecord, Inference, Record, _set, print_sequent
 from .semantics import (
     HALF,
     ONE,
@@ -36,11 +35,14 @@ from .semantics import (
 )
 
 
-@dataclass(frozen=True)
-class LogicStandard:
-    name: str
-    premise_designated: frozenset[TruthValue]
-    conclusion_designated: frozenset[TruthValue]
+class LogicStandard(HashableRecord):
+    __slots__ = __match_args__ = ("name", "premise_designated", "conclusion_designated")
+
+    def __init__(self, name: str, premise_designated: frozenset[TruthValue],
+                 conclusion_designated: frozenset[TruthValue]):
+        _set(self, "name", name)
+        _set(self, "premise_designated", premise_designated)
+        _set(self, "conclusion_designated", conclusion_designated)
 
 
 _STRICT = frozenset({TruthValue.ONE})
@@ -54,10 +56,12 @@ TS = LogicStandard("TS", _TOLERANT, _STRICT)
 STANDARDS = {"K3": K3, "LP": LP, "ST": ST, "TS": TS}
 
 
-@dataclass
-class Verdict:
-    valid: bool
-    countermodel: Optional[Valuation] = None
+class Verdict(Record):
+    __slots__ = __match_args__ = ("valid", "countermodel")
+
+    def __init__(self, valid: bool, countermodel: Optional[Valuation] = None):
+        _set(self, "valid", valid)
+        _set(self, "countermodel", countermodel)
 
 
 def _hits(block, sides) -> int:

@@ -13,7 +13,6 @@ product is universal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .formula import (
@@ -21,8 +20,11 @@ from .formula import (
     Formula,
     Inference,
     Not,
+    HashableRecord,
     Or,
+    Record,
     Var,
+    _set,
     atom_to_formula,
     atoms,
     atoms_of_set,
@@ -67,56 +69,71 @@ class LambdaNotAllowedError(ValueError):
     pass
 
 
-@dataclass
-class ProductWitness:
+class ProductWitness(Record):
     """Connecting formula plus the two component validity checks."""
 
-    connector: Formula
-    left_check: Verdict
-    right_check: Verdict
+    __slots__ = __match_args__ = ("connector", "left_check", "right_check")
+
+    def __init__(self, connector: Formula, left_check: Verdict, right_check: Verdict):
+        _set(self, "connector", connector)
+        _set(self, "left_check", left_check)
+        _set(self, "right_check", right_check)
 
 
-@dataclass
-class DecompositionFailure:
+class DecompositionFailure(Record):
     """Non-membership, carrying the refuting valuation."""
 
-    countermodel: Valuation
+    __slots__ = __match_args__ = ("countermodel",)
+
+    def __init__(self, countermodel: Valuation):
+        _set(self, "countermodel", countermodel)
 
 
-@dataclass
-class SumRefutation:
+class SumRefutation(Record):
     """Fresh pivot refuting relative-sum membership on both sides."""
 
-    pivot: Formula
-    left_fail: Valuation
-    right_fail: Valuation
+    __slots__ = __match_args__ = ("pivot", "left_fail", "right_fail")
+
+    def __init__(self, pivot: Formula, left_fail: Valuation, right_fail: Valuation):
+        _set(self, "pivot", pivot)
+        _set(self, "left_fail", left_fail)
+        _set(self, "right_fail", right_fail)
 
 
-@dataclass(frozen=True)
-class AlwaysZeroPremise:
-    formula: Formula
+class AlwaysZeroPremise(HashableRecord):
+    __slots__ = __match_args__ = ("formula",)
+
+    def __init__(self, formula: Formula):
+        _set(self, "formula", formula)
 
 
-@dataclass(frozen=True)
-class AlwaysOneConclusion:
-    formula: Formula
+class AlwaysOneConclusion(HashableRecord):
+    __slots__ = __match_args__ = ("formula",)
+
+    def __init__(self, formula: Formula):
+        _set(self, "formula", formula)
 
 
 TsSumReason = Union[AlwaysZeroPremise, AlwaysOneConclusion, SumRefutation]
 
 
-@dataclass
-class TsSumDecision:
-    member: bool
-    reason: TsSumReason
+class TsSumDecision(Record):
+    __slots__ = __match_args__ = ("member", "reason")
+
+    def __init__(self, member: bool, reason: TsSumReason):
+        _set(self, "member", member)
+        _set(self, "reason", reason)
 
 
-@dataclass
-class TsMinusProduct:
-    member: bool
-    connector: Optional[Formula] = None
-    left_check: Optional[Verdict] = None
-    right_check: Optional[Verdict] = None
+class TsMinusProduct(Record):
+    __slots__ = __match_args__ = ("member", "connector", "left_check", "right_check")
+
+    def __init__(self, member: bool, connector: Optional[Formula] = None,
+                 left_check: Optional[Verdict] = None, right_check: Optional[Verdict] = None):
+        _set(self, "member", member)
+        _set(self, "connector", connector)
+        _set(self, "left_check", left_check)
+        _set(self, "right_check", right_check)
 
 
 def _classical_literals(v: Valuation, names: Iterable[str]) -> list[Formula]:
@@ -261,9 +278,11 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
     return product_witness(inf, connector, LP, K3)
 
 
-@dataclass
-class MilneFailure:
-    reason: str  # one of: lambda-present, invalid-inference, contradiction, tautology
+class MilneFailure(Record):
+    __slots__ = __match_args__ = ("reason",)
+
+    def __init__(self, reason: str):  # one of: lambda-present, invalid-inference, contradiction, tautology
+        _set(self, "reason", reason)
 
 
 def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure]:

@@ -1,4 +1,5 @@
-"""Object language: formula AST, atoms, parsing, printing, fresh variables.
+"""Object language: formula AST, atoms, parsing, printing, fresh variables,
+and `Record`, the read-only base of the AST and of every result class.
 
 Concrete syntax: ``T``, ``F``, ``L`` for the three constants, ``~`` for
 negation, ``&`` for conjunction, ``|`` for disjunction.  Variables match
@@ -9,45 +10,96 @@ Precedence is ``~`` > ``&`` > ``|``; both binary operators associate left.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Union
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+_set = object.__setattr__  # how `__init__` sets a read-only field
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Record:
+    """Read-only fields, named in order by `__match_args__`, with the repr and
+    the equality (between instances of one class) over them that a dataclass
+    has.  Unhashable; `HashableRecord` hashes the field tuple."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+class HashableRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class Lambda:
-    pass
+# Formula nodes.  Var, Not and the binary nodes spell out their field tuple
+# and `__init__`: both run once per node built or hashed.
+
+class Var(HashableRecord):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def _fields(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
+class Top(HashableRecord):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Bot(HashableRecord):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Lambda(HashableRecord):
+    __slots__ = __match_args__ = ()
+
+
+class Not(HashableRecord):
+    __slots__ = __match_args__ = ("sub",)
+
+    def __init__(self, sub: "Formula"):
+        _set(self, "sub", sub)
+
+    def _fields(self) -> tuple:
+        return (self.sub,)
+
+
+class _Binary(HashableRecord):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def _fields(self) -> tuple:
+        return self.left, self.right
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
 
 
 Formula = Union[Var, Top, Bot, Lambda, Not, And, Or]
@@ -172,16 +224,16 @@ def _normalize_side(formulas: Iterable[Formula], found: set[Atom]) -> tuple[tupl
     return texts, tuple(unique[text] for text in texts)
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(HashableRecord):
     """An ordered pair of finite formula sets, premises => conclusions.
 
     Both sides are stored duplicate-free and sorted by canonical printing,
     so iteration order is deterministic.  The printed texts and the atoms
-    are kept from that one walk; they are not fields, so equality, hashing
-    and repr see the two sides only.
+    are kept from that one walk; they are not in `__match_args__`, so
+    equality, hashing and repr see the two sides only.
     """
 
+    __match_args__ = ("premises", "conclusions")
     premises: tuple[Formula, ...]
     conclusions: tuple[Formula, ...]
 
@@ -189,7 +241,7 @@ class Inference:
         found: set[Atom] = set()
         premise_texts, premises = _normalize_side(premises, found)
         conclusion_texts, conclusions = _normalize_side(conclusions, found)
-        # Frozen: the attributes go straight into the instance dict.
+        # Read-only: the attributes go straight into the instance dict.
         self.__dict__.update(premises=premises, conclusions=conclusions,
                              _texts=(premise_texts, conclusion_texts), _atoms=frozenset(found))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .formula import (
@@ -19,6 +18,8 @@ from .formula import (
     Inference,
     Not,
     Or,
+    Record,
+    _set,
     atoms,
     conjoin,
     parse_formula,
@@ -58,17 +59,21 @@ from .randgen import (
 )
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    samples: int
-    passed: bool
-    counterexample: Optional[str] = None
+class PropertyResult(Record):
+    __slots__ = __match_args__ = ("name", "samples", "passed", "counterexample")
+
+    def __init__(self, name: str, samples: int, passed: bool, counterexample: Optional[str] = None):
+        _set(self, "name", name)
+        _set(self, "samples", samples)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
 
 
-@dataclass
-class OracleReport:
-    results: list[PropertyResult]
+class OracleReport(Record):
+    __slots__ = __match_args__ = ("results",)
+
+    def __init__(self, results: list[PropertyResult]):
+        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .formula import (
@@ -28,8 +27,10 @@ from .formula import (
     Formula,
     Not,
     Or,
+    Record,
     Top,
     Var,
+    _set,
     BOT_ATOM,
     CONSTANT_ATOMS,
     LAM_ATOM,
@@ -65,17 +66,20 @@ class UnmappedVariableError(KeyError):
         super().__init__(f"variable {name!r} is not mapped and no default is set")
 
 
-@dataclass
-class Valuation:
+class Valuation(Record):
     """Finite assignment of truth values to variables.
 
     `default`, when present, applies to every unmapped variable, turning
     the finite map into a total valuation.  Constants are never stored;
-    they evaluate fixedly.  Treat instances as immutable once built.
+    they evaluate fixedly.  Read-only; leave the `assignments` dict as built.
     """
 
-    assignments: dict[str, TruthValue] = field(default_factory=dict)
-    default: Optional[TruthValue] = None
+    __slots__ = __match_args__ = ("assignments", "default")
+
+    def __init__(self, assignments: Optional[dict[str, TruthValue]] = None,
+                 default: Optional[TruthValue] = None):
+        _set(self, "assignments", {} if assignments is None else assignments)
+        _set(self, "default", default)
 
     def value_of(self, atom: Atom) -> TruthValue:
         value = self.assignments.get(atom)

@@ -11,7 +11,9 @@ import hypothesis.strategies as st
 
 import mixcons
 from mixcons.cli import main
+from mixcons.formula import atoms, parse_formula
 from mixcons.oracle import OracleReport, PropertyResult
+from mixcons.semantics import enumerate_valuations, eval_formula, valuation_record
 
 
 def run(capsys, *argv):
@@ -196,6 +198,19 @@ class TestTruthtable:
         assert code == 0
         assert len(out.splitlines()) == 3**7
 
+    @pytest.mark.parametrize("n", [*range(8), 9])
+    def test_rows_match_eval_formula(self, capsys, n):
+        """Every row, in order, against the one-valuation evaluator; n = 9 spans two blocks."""
+        clauses = [f"(x{i} & ~x{(i + 1) % n} | L & ~x{i})" for i in range(n)]
+        text = " | ".join(["T & L | F", *clauses])
+        f = parse_formula(text)
+        code, out, _ = run(capsys, "truthtable", "--json", "--max-vars", str(n), text)
+        assert code == 0
+        assert json_lines(out) == [
+            {"valuation": valuation_record(v), "value": str(eval_formula(f, v))}
+            for v in enumerate_valuations(atoms(f))
+        ]
+
 
 class TestOracleVerb:
     def test_all_pass(self, capsys):
@@ -291,6 +306,45 @@ class TestDeepInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.strip() == "input nested too deeply"
+
+
+class TestColdStart:
+    """`import mixcons.cli` loads only what `check` runs; the package loads names on first use."""
+
+    LAZY = ("dataclasses", "inspect", "mixcons.decomposition", "mixcons.duality", "mixcons.oracle",
+            "mixcons.randgen")
+    EXPORTS = {
+        "And", "Bot", "Formula", "Inference", "Lambda", "Not", "Or", "ParseError", "Top", "Var", "BOT", "LAM",
+        "TOP", "atoms", "parse_formula", "parse_sequent", "print_formula", "print_sequent",
+        "HALF", "ONE", "ZERO", "TruthValue", "Valuation", "all_half_valuation", "enumerate_valuations",
+        "eval_formula", "K3", "LP", "ST", "STANDARDS", "TS", "LogicStandard", "Verdict", "antivalid",
+        "classically_valid", "is_antitheorem", "is_theorem", "valid",
+        "DecompositionFailure", "LambdaNotAllowedError", "MilneFailure", "ProductWitness", "SumRefutation",
+        "TsSumDecision", "k3_dnf", "lp_k3_connector_lambda_free", "lp_k3_product_universal_witness",
+        "milne_interpolant", "st_connecting_formula", "ts_sum_decision",
+        "ROUTES", "direct_membership", "dual_set_membership", "invert", "neg_dual_inference", "op_dual",
+        "op_dual_inference", "OracleReport", "PropertyResult", "run_oracle",
+    }
+
+    def test_cli_import_skips_other_layers(self):
+        # -S: no site .pth hook imports anything first.
+        code = "import sys, mixcons.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-S", "-c", code, *self.LAZY], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=TestDeepInput.SRC), check=True)
+        assert done.stdout.split() == []
+
+    def test_package_names(self):
+        assert set(mixcons.__all__) == self.EXPORTS
+        star = {}
+        exec("from mixcons import *", star)
+        for name in self.EXPORTS:
+            value = getattr(mixcons, name)
+            assert vars(mixcons)[name] is value  # kept: the next lookup skips __getattr__
+            assert star[name] is value
+            layers = (module for key, module in sys.modules.items() if key.startswith("mixcons."))
+            assert any(vars(module).get(name) is value for module in layers)
+        with pytest.raises(AttributeError):
+            mixcons.no_such_name
 
 
 def _json_out(*records):

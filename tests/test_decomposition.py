@@ -23,8 +23,8 @@ from mixcons.formula import (
     LAM,
     TOP,
 )
-from mixcons.semantics import HALF, ONE, ZERO
-from mixcons.consequence import K3, LP, ST, TS, antivalid, classically_valid, valid
+from mixcons.semantics import HALF, ONE, ZERO, Valuation
+from mixcons.consequence import K3, LP, ST, TS, Verdict, antivalid, classically_valid, valid
 from mixcons.decomposition import (
     AlwaysOneConclusion,
     AlwaysZeroPremise,
@@ -46,6 +46,7 @@ from mixcons.decomposition import (
     ts_sum_decision,
 )
 from mixcons.duality import invert
+from mixcons.oracle import PropertyResult
 
 from conftest import (
     inferences,
@@ -427,3 +428,43 @@ class TestAbstractProductSumDuality:
                     inv = lambda rel: frozenset((y, x) for x, y in rel)
                     assert inv(product) == _rel_product(inv(s), inv(r), universe, middles)
                     assert inv(sum_) == _rel_sum(inv(s), inv(r), universe, middles)
+
+
+class TestRecords:
+    """Result records keep the constructors, equality and repr of the dataclasses they replace."""
+
+    def test_keyword_construction(self):
+        v = Valuation({}, default=HALF)
+        assert (v.assignments, v.default) == ({}, HALF)
+        assert Valuation().assignments == {} and Valuation().default is None
+        verdict = Verdict(valid=False, countermodel=v)
+        assert (verdict.valid, verdict.countermodel) == (False, v)
+        assert Verdict(True).countermodel is None
+
+    def test_equality_over_fields(self):
+        p = Var("p")
+        v = Valuation({"p": ONE})
+        assert Verdict(False, v) == Verdict(False, Valuation({"p": ONE}))
+        assert Verdict(False, v) != Verdict(False, Valuation({"p": ZERO}))
+        assert Verdict(True) != Verdict(False)
+        assert AlwaysOneConclusion(p) == AlwaysOneConclusion(Var("p"))
+        assert AlwaysOneConclusion(p) != AlwaysZeroPremise(p)
+        assert hash(AlwaysOneConclusion(p)) == hash((p,))
+        assert PropertyResult("a", 3, False, "x") == PropertyResult("a", 3, False, counterexample="x")
+        assert PropertyResult("a", 3, True) != PropertyResult("a", 3, True, "x")
+
+    def test_repr(self):
+        assert repr(Verdict(True)) == "Verdict(valid=True, countermodel=None)"
+        assert repr(PropertyResult("a", 3, True)) == (
+            "PropertyResult(name='a', samples=3, passed=True, counterexample=None)")
+
+    def test_valuation_and_verdict_are_read_only(self):
+        v = Valuation({"p": ONE})
+        verdict = Verdict(False, v)
+        for obj, field in ((v, "assignments"), (v, "default"), (verdict, "valid"), (verdict, "countermodel")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+        with pytest.raises(TypeError):
+            hash(v)  # it holds a dict
+        with pytest.raises(TypeError):
+            hash(Verdict(True))

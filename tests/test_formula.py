@@ -4,10 +4,13 @@ import hypothesis.strategies as st
 
 from mixcons.formula import (
     And,
+    Bot,
     Inference,
+    Lambda,
     Not,
     Or,
     ParseError,
+    Top,
     Var,
     BOT,
     CONSTANT_ATOMS,
@@ -219,3 +222,38 @@ class TestInferenceKeptValues:
         assert shuffled == inf and hash(shuffled) == hash(inf)
         assert print_sequent(shuffled) == print_sequent(inf)
         assert repr(inf) == f"Inference(premises={inf.premises!r}, conclusions={inf.conclusions!r})"
+
+
+class TestNodeContract:
+    """Formula nodes and Inference keep what frozen dataclasses gave them."""
+
+    def test_repr_of_every_kind(self):
+        assert repr(P) == "Var(name='p')"
+        assert [repr(c) for c in (Top(), Bot(), Lambda())] == ["Top()", "Bot()", "Lambda()"]
+        assert repr(Not(P)) == "Not(sub=Var(name='p'))"
+        assert repr(And(P, Q)) == "And(left=Var(name='p'), right=Var(name='q'))"
+        assert repr(Or(P, TOP)) == "Or(left=Var(name='p'), right=Top())"
+
+    def test_equality_is_type_sensitive(self):
+        assert And(P, Q) == And(Var("p"), Var("q"))
+        assert And(P, Q) != Or(P, Q)
+        assert Top() == TOP and Top() != Bot() and Bot() != Lambda()
+        assert Not(P) != Var("p") and P != "p"
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(P) == hash(("p",))
+        assert hash(Not(P)) == hash((P,))
+        assert hash(And(P, Q)) == hash((P, Q)) == hash(Or(P, Q))
+        assert hash(Top()) == hash(()) == hash(Lambda())
+        inf = Inference((P,), (Q,))
+        assert hash(inf) == hash(((P,), (Q,)))
+
+    @pytest.mark.parametrize("obj, field", [
+        (P, "name"), (Not(P), "sub"), (And(P, Q), "left"), (Or(P, Q), "right"), (TOP, "name"),
+        (Inference((P,), (Q,)), "premises"), (Inference((P,), (Q,)), "_atoms"),
+    ])
+    def test_read_only(self, obj, field):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, Q)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
