@@ -1,8 +1,8 @@
 """The four consequence relations over the Strong-Kleene scheme.
 
-A logic standard is a pair of designated-value sets: one for premises,
-one for conclusions.  K3 and LP use the same set on both sides; ST and TS
-mix strict and tolerant designation.
+A logic standard is a pair of designated-value sets, each strict ({1}) or
+tolerant ({1/2, 1}): one for premises, one for conclusions.  K3 and LP use
+the same set on both sides; ST and TS mix the two.
 
 Validity and antivalidity return the lexicographically first countermodel
 (sorted variables, 0 < 1/2 < 1): the lowest position of a block of
@@ -40,6 +40,10 @@ class LogicStandard(HashableRecord):
 
     def __init__(self, name: str, premise_designated: frozenset[TruthValue],
                  conclusion_designated: frozenset[TruthValue]):
+        for designated in (premise_designated, conclusion_designated):
+            if designated not in (_STRICT, _TOLERANT):
+                shown = ", ".join(map(str, sorted(designated)))
+                raise ValueError(f"{name}: designated set {{{shown}}} is neither {{1}} nor {{1/2, 1}}")
         _set(self, "name", name)
         _set(self, "premise_designated", premise_designated)
         _set(self, "conclusion_designated", conclusion_designated)

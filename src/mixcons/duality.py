@@ -84,29 +84,30 @@ def _st_product(inf: Inference) -> bool:
     return isinstance(st_connecting_formula(inf), ProductWitness)
 
 
-# Each route rewrites the query through the operational map and/or
-# inversion, then delegates to the decision procedure for the identity's
-# right-hand side.  The simple ~ routes use that inf is in ~X exactly when
-# its pointwise dual is in X; the product/sum routes use that ~ turns each
-# antivalidity set into the matching validity set, reducing to the
-# canonical product/sum procedures.
-_ROUTES: dict[str, tuple[str, Callable[[Inference], bool]]] = {
-    "K3+=~LP-": ("K3+", lambda inf: antivalid(LP, op_dual_sides(inf)).valid),
-    "LP+=~K3-": ("LP+", lambda inf: antivalid(K3, op_dual_sides(inf)).valid),
-    "ST+=~TS-": ("ST+", lambda inf: antivalid(TS, op_dual_sides(inf)).valid),
-    "TS+=~ST-": ("TS+", lambda inf: antivalid(ST, op_dual_sides(inf)).valid),
-    "K3-=~LP+": ("K3-", lambda inf: valid(LP, op_dual_sides(inf)).valid),
-    "LP-=~K3+": ("LP-", lambda inf: valid(K3, op_dual_sides(inf)).valid),
-    "ST-=~TS+": ("ST-", lambda inf: valid(TS, op_dual_sides(inf)).valid),
-    "TS-=~ST+": ("TS-", lambda inf: valid(ST, op_dual_sides(inf)).valid),
-    "ST+=K3+|~K3-": ("ST+", _st_product),
-    "ST+=~LP-|LP+": ("ST+", _st_product),
-    "TS+=~K3-+K3+": ("TS+", lambda inf: ts_sum_decision(inf).member),
-    "TS+=LP++~LP-": ("TS+", lambda inf: ts_sum_decision(inf).member),
-    "ST-=K3-+~K3+": ("ST-", st_minus_sum_decision),
-    "ST-=~LP++LP-": ("ST-", st_minus_sum_decision),
-    "TS-=~K3+|K3-": ("TS-", lambda inf: ts_minus_product_decision(inf).member),
-    "TS-=LP-|~LP+": ("TS-", lambda inf: ts_minus_product_decision(inf).member),
+# A route is named by its identity; the set before the "=" is the one it
+# defines.  Each route rewrites the query through the operational map
+# and/or inversion, then delegates to the decision procedure for the
+# identity's right-hand side.  The simple ~ routes use that inf is in ~X
+# exactly when its pointwise dual is in X; the product/sum routes use that
+# ~ turns each antivalidity set into the matching validity set, reducing to
+# the canonical product/sum procedures.
+_ROUTES: dict[str, Callable[[Inference], bool]] = {
+    "K3+=~LP-": lambda inf: antivalid(LP, op_dual_sides(inf)).valid,
+    "LP+=~K3-": lambda inf: antivalid(K3, op_dual_sides(inf)).valid,
+    "ST+=~TS-": lambda inf: antivalid(TS, op_dual_sides(inf)).valid,
+    "TS+=~ST-": lambda inf: antivalid(ST, op_dual_sides(inf)).valid,
+    "K3-=~LP+": lambda inf: valid(LP, op_dual_sides(inf)).valid,
+    "LP-=~K3+": lambda inf: valid(K3, op_dual_sides(inf)).valid,
+    "ST-=~TS+": lambda inf: valid(TS, op_dual_sides(inf)).valid,
+    "TS-=~ST+": lambda inf: valid(ST, op_dual_sides(inf)).valid,
+    "ST+=K3+|~K3-": _st_product,
+    "ST+=~LP-|LP+": _st_product,
+    "TS+=~K3-+K3+": lambda inf: ts_sum_decision(inf).member,
+    "TS+=LP++~LP-": lambda inf: ts_sum_decision(inf).member,
+    "ST-=K3-+~K3+": st_minus_sum_decision,
+    "ST-=~LP++LP-": st_minus_sum_decision,
+    "TS-=~K3+|K3-": lambda inf: ts_minus_product_decision(inf).member,
+    "TS-=LP-|~LP+": lambda inf: ts_minus_product_decision(inf).member,
 }
 
 ROUTES = tuple(_ROUTES)
@@ -116,7 +117,6 @@ def dual_set_membership(target: str, inf: Inference, route: str) -> bool:
     """Decide membership in `target` via the named duality identity."""
     if route not in _ROUTES:
         raise UnknownRouteError(f"unknown route {route!r}")
-    defined, procedure = _ROUTES[route]
-    if defined != target:
+    if route.split("=", 1)[0] != target:
         raise UnknownRouteError(f"route {route!r} does not define {target!r}")
-    return procedure(inf)
+    return _ROUTES[route](inf)

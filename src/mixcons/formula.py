@@ -5,6 +5,9 @@ Concrete syntax: ``T``, ``F``, ``L`` for the three constants, ``~`` for
 negation, ``&`` for conjunction, ``|`` for disjunction.  Variables match
 ``[a-z][a-zA-Z0-9_]*``, so they never collide with the constant tokens.
 Precedence is ``~`` > ``&`` > ``|``; both binary operators associate left.
+
+Parsing is one loop with its own stack, so parsed input has no nesting
+limit.  The printer `_text` recurses; `atoms` reads the atoms off its walk.
 """
 
 from __future__ import annotations
@@ -115,39 +118,24 @@ Atom = str
 TOP_ATOM: Atom = "T"
 BOT_ATOM: Atom = "F"
 LAM_ATOM: Atom = "L"
-CONSTANT_ATOMS = frozenset({TOP_ATOM, BOT_ATOM, LAM_ATOM})
+_CONSTANTS: dict[Atom, Formula] = {TOP_ATOM: TOP, BOT_ATOM: BOT, LAM_ATOM: LAM}
+CONSTANT_ATOMS = frozenset(_CONSTANTS)
 
 
 def atom_to_formula(atom: Atom) -> Formula:
-    if atom == TOP_ATOM:
-        return TOP
-    if atom == BOT_ATOM:
-        return BOT
-    if atom == LAM_ATOM:
-        return LAM
-    return Var(atom)
+    return _CONSTANTS[atom] if atom in _CONSTANTS else Var(atom)
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
     """All atoms of a formula; the constants count as their own atoms."""
-    if isinstance(f, Var):
-        return frozenset({f.name})
-    if isinstance(f, Top):
-        return frozenset({TOP_ATOM})
-    if isinstance(f, Bot):
-        return frozenset({BOT_ATOM})
-    if isinstance(f, Lambda):
-        return frozenset({LAM_ATOM})
-    if isinstance(f, Not):
-        return atoms(f.sub)
-    return atoms(f.left) | atoms(f.right)
+    return atoms_of_set((f,))
 
 
 def atoms_of_set(formulas: Iterable[Formula]) -> frozenset[Atom]:
-    result: frozenset[Atom] = frozenset()
+    found: set[Atom] = set()
     for f in formulas:
-        result |= atoms(f)
-    return result
+        _text(f, found)
+    return frozenset(found)
 
 
 def variables_of_set(formulas: Iterable[Formula]) -> frozenset[Atom]:
@@ -183,7 +171,7 @@ def disjoin(formulas: Iterable[Formula]) -> Formula:
 # printing
 
 _PREC = {Or: 1, And: 2, Not: 3}  # anything else binds tightest: 4
-_CONSTANT_TEXT = {Top: TOP_ATOM, Bot: BOT_ATOM, Lambda: LAM_ATOM}
+_CONSTANT_TEXT = {type(f): atom for atom, f in _CONSTANTS.items()}
 
 
 def _text(f: Formula, found: set[Atom]) -> str:
@@ -254,9 +242,7 @@ class Inference(HashableRecord):
 
 def print_sequent(inf: Inference) -> str:
     left, right = (", ".join(texts) for texts in inf._texts)
-    if left:
-        return f"{left} => {right}" if right else f"{left} =>"
-    return f"=> {right}" if right else "=>"
+    return " ".join(filter(None, (left, "=>", right)))
 
 
 # --------------------------------------------------------------------------
@@ -272,6 +258,7 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
+Token = tuple[str, str, int]  # kind, text, position
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<const>[TFL])"
@@ -283,7 +270,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -295,91 +282,78 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
+def _unexpected(token: Token, expected: tuple[str, ...], what: str = "unexpected") -> ParseError:
+    kind, text, pos = token
+    return ParseError(f"{what} {text if kind != 'end' else 'end of input'!r}", pos, expected)
 
-    @property
-    def current(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+# The parse loop's `pending` stack holds (precedence, node class, left operand)
+# entries.  An open "(" is never reduced; a "~" is reduced by any token.
+_PREFIX = {"~": (3, Not, None), "(": (-1, None, None)}
+_BINARY = {"|": (1, Or), "&": (2, And)}
 
-    def expect(self, value: str) -> None:
-        kind, text, pos = self.current
-        if text != value and not (value == "end" and kind == "end"):
-            shown = text if kind != "end" else "end of input"
-            raise ParseError(f"unexpected {shown!r}", pos, expected=(value,))
-        self.advance()
 
-    def formula(self) -> Formula:
-        return self.disjunction()
+def _formula(tokens: list[Token], i: int) -> tuple[Formula, int]:
+    """The formula that starts at tokens[i], and the index of the token after it.
 
-    def disjunction(self) -> Formula:
-        result = self.conjunction()
-        while self.current[1] == "|":
-            self.advance()
-            result = Or(result, self.conjunction())
-        return result
+    After each operand, every pending "~" and binary operator that binds at
+    least as tightly as the next token takes it as its right operand, so
+    both binary operators associate left.
+    """
+    pending = []
+    while True:
+        kind, text, _ = tokens[i]
+        i += 1
+        if text in _PREFIX:
+            pending.append(_PREFIX[text])
+            continue
+        if kind != "ident" and kind != "const":
+            raise _unexpected(tokens[i - 1], ("~", "(", "constant", "variable"))
+        result = Var(text) if kind == "ident" else _CONSTANTS[text]
+        while True:
+            text = tokens[i][1]
+            precedence, node = _BINARY.get(text, (0, None))
+            while pending and pending[-1][0] >= precedence:
+                _, reduce, left = pending.pop()
+                result = reduce(result) if left is None else reduce(left, result)
+            if node is not None:
+                pending.append((precedence, node, result))
+                i += 1
+                break
+            if not pending:
+                return result, i
+            if text != ")":  # the top of `pending` is an open "("
+                raise _unexpected(tokens[i], (")",))
+            pending.pop()
+            i += 1
 
-    def conjunction(self) -> Formula:
-        result = self.unary()
-        while self.current[1] == "&":
-            self.advance()
-            result = And(result, self.unary())
-        return result
 
-    def unary(self) -> Formula:
-        kind, text, pos = self.current
-        if text == "~":
-            self.advance()
-            return Not(self.unary())
-        if text == "(":
-            self.advance()
-            inner = self.disjunction()
-            self.expect(")")
-            return inner
-        if kind == "const":
-            self.advance()
-            return {"T": TOP, "F": BOT, "L": LAM}[text]
-        if kind == "ident":
-            self.advance()
-            return Var(text)
-        shown = text if kind != "end" else "end of input"
-        raise ParseError(
-            f"unexpected {shown!r}", pos,
-            expected=("~", "(", "constant", "variable"),
-        )
-
-    def formula_list(self) -> list[Formula]:
-        if self.current[0] in ("end",) or self.current[1] == "=>":
-            return []
-        result = [self.formula()]
-        while self.current[1] == ",":
-            self.advance()
-            result.append(self.formula())
-        return result
+def _side(tokens: list[Token], i: int) -> tuple[list[Formula], int]:
+    """The comma-separated formulas from tokens[i] on: none before '=>' or the end."""
+    if tokens[i][0] == "end" or tokens[i][1] == "=>":
+        return [], i
+    formula, i = _formula(tokens, i)
+    formulas = [formula]
+    while tokens[i][1] == ",":
+        formula, i = _formula(tokens, i + 1)
+        formulas.append(formula)
+    return formulas, i
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    result = parser.formula()
-    parser.expect("end")
+    tokens = _tokenize(text)
+    result, i = _formula(tokens, 0)
+    if tokens[i][0] != "end":
+        raise _unexpected(tokens[i], ("end",))
     return result
 
 
 def parse_sequent(text: str) -> Inference:
-    parser = _Parser(text)
-    premises = parser.formula_list()
-    kind, tok, pos = parser.current
-    if tok != "=>":
-        shown = tok if kind != "end" else "end of input"
-        raise ParseError(f"missing '=>' separator, got {shown!r}", pos, expected=("=>",))
-    parser.advance()
-    conclusions = parser.formula_list()
-    parser.expect("end")
+    tokens = _tokenize(text)
+    premises, i = _side(tokens, 0)
+    if tokens[i][1] != "=>":
+        raise _unexpected(tokens[i], ("=>",), "missing '=>' separator, got")
+    conclusions, i = _side(tokens, i + 1)
+    if tokens[i][0] != "end":
+        raise _unexpected(tokens[i], ("end",))
     return Inference(premises, conclusions)

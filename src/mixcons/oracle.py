@@ -13,6 +13,7 @@ import random
 from typing import Callable, Iterator, Optional
 
 from .formula import (
+    CONSTANT_ATOMS,
     And,
     Formula,
     Inference,
@@ -136,7 +137,7 @@ def _prop_roundtrip(rng, variables, max_depth, standards):
 
 def _prop_monotonicity(rng, variables, max_depth, standards):
     f = random_formula(rng, variables, max_depth)
-    names = sorted(atoms(f) - {"T", "F", "L"})
+    names = sorted(atoms(f) - CONSTANT_ATOMS)
     v = random_valuation(rng, names)
     sharpened = {
         name: v.assignments[name] if v.assignments[name] != HALF else rng.choice((ZERO, HALF, ONE))

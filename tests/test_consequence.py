@@ -110,6 +110,30 @@ def theorem_equivalences_hold(logic: LogicStandard, delta: Iterable[Formula]) ->
     return len({c_theorem, c_all_sets, c_all_formulas, c_fresh}) == 1
 
 
+class TestLogicStandard:
+    STRICT, TOLERANT = frozenset({ONE}), frozenset({HALF, ONE})
+
+    def test_strict_and_tolerant_sets_build(self):
+        for premises in (self.STRICT, self.TOLERANT):
+            for conclusions in (self.STRICT, self.TOLERANT):
+                logic = LogicStandard("X", premises, conclusions)
+                assert (logic.premise_designated, logic.conclusion_designated) == (premises, conclusions)
+
+    @pytest.mark.parametrize("designated,shown", [
+        (frozenset({ZERO}), "{0}"),
+        (frozenset(), "{}"),
+        (frozenset({HALF}), "{1/2}"),
+        (frozenset({ZERO, ONE}), "{0, 1}"),
+        (frozenset({ZERO, HALF, ONE}), "{0, 1/2, 1}"),
+    ], ids=["zero", "empty", "half", "classical", "all"])
+    def test_other_sets_rejected(self, designated, shown):
+        message = f"X: designated set {shown} is neither {{1}} nor {{1/2, 1}}"
+        for sides in ((designated, self.STRICT), (self.TOLERANT, designated)):
+            with pytest.raises(ValueError) as exc:
+                LogicStandard("X", *sides)
+            assert str(exc.value) == message
+
+
 class TestSatisfaction:
     def test_k3_failure_point(self):
         v = Valuation({"p": ONE, "q": HALF})

@@ -81,6 +81,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_sequent("p => q => r")
 
+    def test_end_is_a_variable(self):
+        end = Var("end")
+        assert parse_formula("end") == end
+        assert parse_formula("~end | (end & p)") == Or(Not(end), And(end, P))
+        assert parse_sequent("end => end & p") == Inference((end,), (And(end, P),))
+        assert parse_sequent("end, p =>") == Inference((end, P), ())
+
+    def test_no_nesting_limit(self):
+        depth = 20_000
+        assert parse_formula("(" * depth + "p" + ")" * depth) == P
+        f = parse_formula("~" * depth + "p")
+        for _ in range(depth):
+            f = f.sub
+        assert f == P
+        f = parse_formula(" & ".join(["p"] * depth))
+        for _ in range(depth - 1):
+            assert f.right == P
+            f = f.left
+        assert f == P
+
 
 _OPERAND = ("~", "(", "constant", "variable")
 _NO_OPERAND = "(expected ~ or ( or constant or variable)"
@@ -116,6 +136,11 @@ PARSE_ERRORS = [
     ("p,\tq\t=>\tr", ("unexpected ',' at position 1 (expected end)", 1, ("end",)), None),
     ("p\t=>\tq\t$", ("unexpected character '$' at position 7", 7, ()),
      ("unexpected character '$' at position 7", 7, ())),
+    # `end` is a variable name, not the end of the input
+    ("p end", ("unexpected 'end' at position 2 (expected end)", 2, ("end",)),
+     ("missing '=>' separator, got 'end' at position 2 (expected =>)", 2, ("=>",))),
+    ("p => q end", ("unexpected '=>' at position 2 (expected end)", 2, ("end",)),
+     ("unexpected 'end' at position 7 (expected end)", 7, ("end",))),
 ]
 
 

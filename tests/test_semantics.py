@@ -93,7 +93,7 @@ class TestEval:
 
 class TestDeepEvaluation:
     """Evaluation keeps its own stack: formulas far deeper than the recursion
-    limit, built directly because the parser and printer recurse."""
+    limit, built directly."""
 
     DEPTH = 20_000
 
