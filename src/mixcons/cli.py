@@ -201,17 +201,18 @@ def cmd_interpolate(args: argparse.Namespace) -> Answer:
 
 def cmd_truthtable(args: argparse.Namespace) -> Answer:
     f = parse_formula(args.formula)
-    count = len(atoms(f) - CONSTANT_ATOMS)
+    domain = atoms(f)
+    count = len(domain - CONSTANT_ATOMS)
     if count > args.max_vars:
         raise UsageError(f"too many variables ({count}); the cap is {args.max_vars} (raise it with --max-vars)")
-    return EXIT_OK, _table_rows(f), _row_text
+    return EXIT_OK, _table_rows(f, domain), _row_text
 
 
-def _table_rows(f: Formula) -> Iterator[dict]:
-    """One row per valuation, in enumeration order: f's rails over each block, read at each bit."""
-    for block in rail_blocks(atoms(f)):
+def _table_rows(f: Formula, domain: Iterable[str]) -> Iterator[dict]:
+    """One row per valuation of `domain`, in enumeration order: f's rails over each block, read at each bit."""
+    for block in rail_blocks(domain):
         h, o = block.rails(f)
-        for p in range(3 ** len(block.names)):
+        for p in range(block.full.bit_length()):
             value = VALUE_ORDER[(h >> p & 1) + (o >> p & 1)]
             yield {"valuation": valuation_record(block.valuation(p)), "value": str(value)}
 
@@ -296,6 +297,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, records, text = args.func(args)
         for record in records:
             print(json.dumps(record) if args.json else text(record))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): the answer stands.  Point stdout
+        # at devnull so that the interpreter's final flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,8 +5,8 @@ tolerant ({1/2, 1}): one for premises, one for conclusions.  K3 and LP use
 the same set on both sides; ST and TS mix the two.
 
 Validity and antivalidity return the lexicographically first countermodel
-(sorted variables, 0 < 1/2 < 1): the lowest position of a block of
-valuations where the side formulas' rails (`semantics.rail_blocks`) make
+(sorted variables, 0 < 1/2 < 1): the lowest bit, one per valuation walked,
+of a block where the side formulas' rails (`semantics.rail_blocks`) make
 every premise and no conclusion designated (for antivalidity: no premise
 and every conclusion).  K3 and LP walk all 3^n valuations.  Countermodels
 of ST-validity and TS-antivalidity are closed under sharpening, so only
@@ -71,7 +71,7 @@ class Verdict(Record):
 def _hits(block, sides) -> int:
     """The positions of `block` where every premise and no conclusion is
     designated (for antivalidity: no premise and every conclusion)."""
-    full, hits = block.full, block.mask
+    full = hits = block.full
     for f, rail, undesignated in sides:
         designated = block.rails(f)[rail]
         hits &= full ^ designated if undesignated else designated

@@ -8,9 +8,9 @@ min/max/complement identities hold on the nose.
 Formulas are evaluated one way, as rails, with an explicit stack: over a
 block of valuations, two big-int masks with bit p set where the p-th
 valuation makes the formula >= 1/2 and where it makes it 1 (the dual-rail
-encoding of Bryant & Seger, CAV 1990).  `rail_blocks` walks 3^n or 2^n
-valuations in blocks spanning the last k <= BLOCK variables;
-`eval_formula` reads one-bit rails at a single valuation.
+encoding of Bryant & Seger, CAV 1990).  `rail_blocks` walks the |values|^n
+valuations into `values` in blocks of |values|^k, one per assignment to all
+but the last k <= BLOCK variables; `eval_formula` reads rails at one valuation.
 """
 
 from __future__ import annotations
@@ -114,18 +114,16 @@ Rails = tuple[int, int]  # (value >= 1/2, value = 1), bit p for the p-th valuati
 
 
 @functools.cache
-def _block_rails(k: int, values: tuple[TruthValue, ...]) -> tuple[int, int, tuple[Rails, ...]]:
-    """All positions, the positions whose valuation lies in `values`, and each
-    variable's rails, for k variables laid out in `enumerate_valuations` order."""
-    full, mask, rails = 1, 1, ()
-    for j in range(k):
-        # A new first variable is 0, 1/2 and 1 on three thirds; the others repeat.
-        size = 3 ** j
-        first = ((1 << 2 * size) - 1) << size, ((1 << size) - 1) << 2 * size
-        rails = (first, *((h | h << size | h << 2 * size, o | o << size | o << 2 * size) for h, o in rails))
-        mask = sum(mask << value * size for value in values)
-        full = (1 << 3 * size) - 1
-    return full, mask, rails
+def _block_rails(k: int, values: tuple[TruthValue, ...]) -> tuple[int, tuple[Rails, ...]]:
+    """All positions and each variable's rails for k variables: base-|values| digit d means `values[d]`."""
+    full, rails = 1, ()
+    for _ in range(k):
+        # A new first variable takes values[d] on the d-th of |values| equal parts; the others repeat.
+        shifts = [d * full.bit_length() for d in range(len(values))]
+        first = tuple(sum(full << s for s, v in zip(shifts, values) if v >= least) for least in (HALF, ONE))
+        rails = (first, *((sum(h << s for s in shifts), sum(o << s for s in shifts)) for h, o in rails))
+        full = sum(full << s for s in shifts)
+    return full, rails
 
 
 def _rails(f: Formula, env: dict[Atom, Rails], full: int) -> Rails:
@@ -183,16 +181,17 @@ class RailBlock(NamedTuple):
 
     prefix: Valuation
     names: tuple[Atom, ...]
+    values: tuple[TruthValue, ...]
     env: dict[Atom, Rails]
-    full: int
-    mask: int  # the positions whose valuation lies in the walked value space
+    full: int  # every position: one bit per valuation of the block
 
     def rails(self, f: Formula) -> Rails:
         return _rails(f, self.env, self.full)
 
     def valuation(self, position: int) -> Valuation:
-        """The valuation at bit `position`: its base-3 digits, first variable most significant."""
-        digits = [VALUE_ORDER[position // 3 ** i % 3] for i in reversed(range(len(self.names)))]
+        """The valuation at bit `position`: its base-|values| digits, first variable most significant."""
+        base = len(self.values)
+        digits = [self.values[position // base ** i % base] for i in reversed(range(len(self.names)))]
         return Valuation({**self.prefix.assignments, **dict(zip(self.names, digits))})
 
 
@@ -200,11 +199,11 @@ def _rail_block(prefix: Valuation, names: tuple[Atom, ...],
                 values: tuple[TruthValue, ...] = VALUE_ORDER) -> RailBlock:
     """The block over `names` into `values`, other variables fixed by `prefix`
     (a name in both takes the block's rails and keeps its prefix key order)."""
-    full, mask, rails = _block_rails(len(names), values)
+    full, rails = _block_rails(len(names), values)
     constant = ((0, 0), (full, 0), (full, full))  # indexed by value
     env = {n: constant[v] for n, v in prefix.assignments.items()}
     env.update(zip(names, rails))
-    return RailBlock(prefix, names, env, full, mask)
+    return RailBlock(prefix, names, values, env, full)
 
 
 def rail_blocks(domain: Iterable[Atom],
@@ -212,9 +211,8 @@ def rail_blocks(domain: Iterable[Atom],
     """The walk of `enumerate_valuations(domain, values)`, one block at a time.
 
     `enumerate_valuations` yields the prefixes lazily, in the caller's loop,
-    where perfbench's tracer counts them as the caller's valuations.  Ascending
-    bits are enumeration order; `mask` drops the positions holding a value
-    outside `values`, so the walk keeps that order.
+    where perfbench's tracer counts them as the caller's valuations.  Each
+    block's ascending bits are enumeration order, so the walk keeps that order.
     """
     names = sorted(set(domain) - CONSTANT_ATOMS)
     split = max(0, len(names) - BLOCK)

@@ -211,6 +211,20 @@ class TestTruthtable:
             for v in enumerate_valuations(atoms(f))
         ]
 
+    def test_reader_closes_stdout(self):
+        """`| head -1`: the rows past the pipe's buffer meet a closed pipe."""
+        env = dict(os.environ, PYTHONPATH=TestDeepInput.SRC)
+        with subprocess.Popen(
+            [sys.executable, "-c", "from mixcons.cli import entry_point; entry_point()",
+             "truthtable", "--max-vars", "8", "a & b & c & d & e & f & g & h"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        ) as child:
+            assert child.stdout.readline() == "a=0 b=0 c=0 d=0 e=0 f=0 g=0 h=0 | 0\n"
+            child.stdout.close()
+            stderr = child.stderr.read()
+        assert child.returncode == 0
+        assert stderr == ""  # no traceback
+
 
 class TestOracleVerb:
     def test_all_pass(self, capsys):

@@ -140,10 +140,11 @@ class TestRailBlocks:
     def test_bit_p_is_the_pth_valuation(self, k, values):
         names = [f"x{i}" for i in range(k)]
         [block] = rail_blocks(names, values)
-        positions = [p for p in range(3 ** k) if block.mask >> p & 1]
+        assert block.full.bit_length() == len(values) ** k  # dense: every bit is a valuation
         expected = list(enumerate_valuations(names, values))
-        assert [block.valuation(p).assignments for p in positions] == [v.assignments for v in expected]
-        for p, v in zip(positions, expected):
+        walked = [block.valuation(p).assignments for p in range(block.full.bit_length())]
+        assert walked == [v.assignments for v in expected]
+        for p, v in enumerate(expected):
             for name in names:
                 half, one = block.rails(Var(name))
                 assert (half >> p & 1, one >> p & 1) == (v.value_of(name) >= HALF, v.value_of(name) == ONE)
@@ -153,9 +154,9 @@ class TestRailBlocks:
     def test_blocks_concatenate_to_the_walk(self, block_size, values, monkeypatch):
         monkeypatch.setattr(semantics, "BLOCK", block_size)
         names = ["p", "q", "r", "T"]
-        walked = [block.valuation(p).assignments
-                  for block in rail_blocks(names, values)
-                  for p in range(block.full.bit_length()) if block.mask >> p & 1]
+        blocks = list(rail_blocks(names, values))
+        assert all(b.full.bit_length() == len(values) ** len(b.names) for b in blocks)
+        walked = [b.valuation(p).assignments for b in blocks for p in range(b.full.bit_length())]
         assert walked == [v.assignments for v in enumerate_valuations(names, values)]
 
     @given(formulas)
