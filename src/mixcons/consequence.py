@@ -11,9 +11,10 @@ every premise and no conclusion designated (for antivalidity: no premise
 and every conclusion).  K3 and LP walk all 3^n valuations.  Countermodels
 of ST-validity and TS-antivalidity are closed under sharpening, so only
 {0,1}^n is walked.  Those of TS-validity and ST-antivalidity are closed
-under moving values to 1/2: each chunk of up to BLOCK sorted variables is
-one {0,1/2} block, with earlier chunks fixed and later ones 1/2, and its
-lowest hit fixes it; none in the first chunk means valid.
+under moving values to 1/2: each chunk of up to 16 sorted variables (the
+most whose 2^k valuations fit in a block of 2^BLOCK bits) is one {0,1/2}
+block, with earlier chunks fixed and later ones 1/2, and its lowest hit
+fixes it; none in the first chunk means valid.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def _chunk_walk(sides, inf: Inference) -> Verdict:
     """First countermodel, one {0,1/2} block per chunk (module docstring)."""
     names = sorted(inf.variables())
     countermodel = Valuation(dict.fromkeys(names, HALF))
-    chunk = semantics.BLOCK  # read per call, so that a patched BLOCK is seen
+    # read per call, so that a patched BLOCK is seen; a chunk holds at least one variable
+    chunk = max(1, semantics.block_width(2, semantics.BLOCK))
     for start in range(0, len(names) or 1, chunk):
         block = _rail_block(countermodel, tuple(names[start:start + chunk]), (ZERO, HALF))
         hits = _hits(block, sides)

@@ -9,8 +9,9 @@ Formulas are evaluated one way, as rails, with an explicit stack: over a
 block of valuations, two big-int masks with bit p set where the p-th
 valuation makes the formula >= 1/2 and where it makes it 1 (the dual-rail
 encoding of Bryant & Seger, CAV 1990).  `rail_blocks` walks the |values|^n
-valuations into `values` in blocks of |values|^k, one per assignment to all
-but the last k <= BLOCK variables; `eval_formula` reads rails at one valuation.
+valuations into `values` in blocks of |values|^k <= 2^BLOCK bits, one per
+assignment to all but the last k variables; `eval_formula` reads rails at one
+valuation.
 """
 
 from __future__ import annotations
@@ -108,9 +109,18 @@ def enumerate_valuations(domain: Iterable[Atom],
         yield Valuation(dict(zip(names, combo)))
 
 
-BLOCK = 8
+BLOCK = 16  # a block holds at most 2^BLOCK valuations: 16 variables into two values, 10 into three
 
 Rails = tuple[int, int]  # (value >= 1/2, value = 1), bit p for the p-th valuation of a block
+
+
+@functools.cache
+def block_width(base: int, bits: int) -> int:
+    """The most variables k with base^k <= 2^bits: a block's width into `base` values."""
+    k = 0
+    while k < bits and base ** (k + 1) <= 1 << bits:
+        k += 1
+    return k
 
 
 @functools.cache
@@ -190,9 +200,14 @@ class RailBlock(NamedTuple):
 
     def valuation(self, position: int) -> Valuation:
         """The valuation at bit `position`: its base-|values| digits, first variable most significant."""
-        base = len(self.values)
-        digits = [self.values[position // base ** i % base] for i in reversed(range(len(self.names)))]
-        return Valuation({**self.prefix.assignments, **dict(zip(self.names, digits))})
+        values, base = self.values, len(self.values)
+        digits = []
+        for _ in self.names:  # least significant digit first
+            position, digit = divmod(position, base)
+            digits.append(values[digit])
+        assignments = self.prefix.assignments.copy()
+        assignments.update(zip(self.names, reversed(digits)))
+        return Valuation(assignments)
 
 
 def _rail_block(prefix: Valuation, names: tuple[Atom, ...],
@@ -200,9 +215,10 @@ def _rail_block(prefix: Valuation, names: tuple[Atom, ...],
     """The block over `names` into `values`, other variables fixed by `prefix`
     (a name in both takes the block's rails and keeps its prefix key order)."""
     full, rails = _block_rails(len(names), values)
-    constant = ((0, 0), (full, 0), (full, full))  # indexed by value
-    env = {n: constant[v] for n, v in prefix.assignments.items()}
-    env.update(zip(names, rails))
+    env = dict(zip(names, rails))
+    if prefix.assignments:
+        constant = ((0, 0), (full, 0), (full, full))  # indexed by value
+        env = {**{n: constant[v] for n, v in prefix.assignments.items()}, **env}
     return RailBlock(prefix, names, values, env, full)
 
 
@@ -210,12 +226,14 @@ def rail_blocks(domain: Iterable[Atom],
                 values: tuple[TruthValue, ...] = VALUE_ORDER) -> Iterator[RailBlock]:
     """The walk of `enumerate_valuations(domain, values)`, one block at a time.
 
-    `enumerate_valuations` yields the prefixes lazily, in the caller's loop,
-    where perfbench's tracer counts them as the caller's valuations.  Each
-    block's ascending bits are enumeration order, so the walk keeps that order.
+    A block takes the last k sorted variables, the most with |values|^k <=
+    2^BLOCK (`block_width`).  `enumerate_valuations` yields the prefixes
+    lazily, in the caller's loop, where perfbench's tracer counts them as the
+    caller's valuations.  Each block's ascending bits are enumeration order,
+    so the walk keeps that order.
     """
     names = sorted(set(domain) - CONSTANT_ATOMS)
-    split = max(0, len(names) - BLOCK)
+    split = max(0, len(names) - block_width(len(values), BLOCK))
     tail = tuple(names[split:])
     return (_rail_block(p, tail, values) for p in enumerate_valuations(names[:split], values))
 

@@ -317,16 +317,18 @@ class TestOneSided:
         " & ".join(f"x{i}" for i in range(9)) + " =>",
         "=> ~x0 & (" + " | ".join(f"x{i}" for i in range(1, 9)) + ")",
     ])
-    def test_past_the_first_block(self, text):
+    def test_past_the_first_block(self, text, monkeypatch):
+        monkeypatch.setattr(semantics, "BLOCK", 8)  # blocks of 8 variables into two values, 5 into three
         inf = parse_sequent(text)
-        assert len(inf.variables()) > semantics.BLOCK
+        assert len(inf.variables()) > semantics.block_width(2, semantics.BLOCK)
         _assert_brute_force_walk(inf, MODES)
 
 
 class TestBlockBoundary:
-    """The walks go a block of valuations at a time.  With blocks of one or
-    two variables, the sequents above also walk prefixes and decode a
-    prefix plus a block position into the countermodel."""
+    """The walks go a block of valuations at a time.  With blocks of 2^1 or
+    2^2 bits (one or two variables into two values, none or one into
+    three), the sequents above also walk prefixes and decode a prefix plus
+    a block position into the countermodel."""
 
     @pytest.mark.parametrize("block", [1, 2])
     @settings(max_examples=200)
@@ -342,11 +344,25 @@ class TestBlockBoundary:
         _assert_brute_force_walk(parse_sequent(text), MODES)
 
     @pytest.mark.parametrize("name", ["K3", "LP"])
-    def test_first_countermodel_past_the_first_block(self, name):
+    def test_first_countermodel_past_the_first_block(self, name, monkeypatch):
+        monkeypatch.setattr(semantics, "BLOCK", 8)  # blocks of 5 variables into three values
         inf = parse_sequent(" | ".join(f"x{i}" for i in range(1, 9)) + " => ~x0")
-        assert len(inf.variables()) > semantics.BLOCK
+        assert len(inf.variables()) > semantics.block_width(3, semantics.BLOCK)
         expected = brute_first_countermodel(name, inf)
         assert expected["x0"] != 0
+        assert _decide_like_brute(name, inf, False) == (False, expected)
+
+    @pytest.mark.parametrize("block", [None, 8])
+    @pytest.mark.parametrize("name,n,x0,last", [
+        ("K3", 11, oracles.HALF, 1), ("LP", 11, 1, oracles.HALF), ("ST", 17, 1, 1)])
+    def test_first_countermodel_past_a_default_block(self, name, n, x0, last, block, monkeypatch):
+        # 3^10 and 2^16 bits are the default blocks, so x00 is the prefix:
+        # ~x00 must be undesignated and x01..x(n-1) designate the premise.
+        if block is not None:
+            monkeypatch.setattr(semantics, "BLOCK", block)
+        names = [f"x{i:02d}" for i in range(n)]
+        inf = parse_sequent(" | ".join(names[1:]) + " => ~x00")
+        expected = {names[0]: x0, **dict.fromkeys(names[1:-1], 0), names[-1]: last}
         assert _decide_like_brute(name, inf, False) == (False, expected)
 
 
@@ -390,10 +406,10 @@ def _wide_inference(rng, n):
 
 class TestChunkWalk:
     """TS-validity and ST-antivalidity decide one {0,1/2} block per chunk of
-    BLOCK sorted variables; across chunks the countermodel must stay the
+    `block_width(2, BLOCK)` sorted variables; across chunks the countermodel must stay the
     n + 1 check greedy's, keys in sorted order."""
 
-    @pytest.mark.parametrize("block", [1, 2, 8])
+    @pytest.mark.parametrize("block", [0, 1, 2, 8, 16])  # 0 still walks chunks of one variable
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_linear_greedy(self, block, seed, monkeypatch):
         monkeypatch.setattr(semantics, "BLOCK", block)
@@ -410,18 +426,34 @@ class TestChunkWalk:
 
     @pytest.mark.parametrize("n", [9, 10])
     @pytest.mark.parametrize("name,anti", HALF_MODES)
-    def test_zeros_on_both_sides_of_a_chunk_boundary(self, n, name, anti):
-        # x7 and x8 close the first chunk and open the second; the side
-        # formulas x0..x6 and x9 keep the others at 1/2.
-        names = [f"x{i}" for i in range(n)]
-        kept = ", ".join(names[:7] + ["~x7 | x8"] + names[9:])
-        zeroed = " | ".join(names[7:])
-        inf = parse_sequent(f"{zeroed} => {kept}" if anti else f"{kept} => {zeroed}")
-        assert names[semantics.BLOCK - 1:semantics.BLOCK + 1] == ["x7", "x8"]
+    def test_zeros_on_both_sides_of_a_chunk_boundary(self, n, name, anti, monkeypatch):
+        monkeypatch.setattr(semantics, "BLOCK", 8)  # chunks of 8 variables
+        inf = _chunk_boundary_sequent(n, anti)
         expected = brute_first_countermodel(name, inf, anti)
-        assert expected["x7"] == expected["x8"] == 0
+        assert expected["x07"] == expected["x08"] == 0
         assert set(expected.values()) == {0, oracles.HALF}
         assert _decide_like_brute(name, inf, anti) == (False, expected)
+
+    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("name,anti", HALF_MODES)
+    def test_zeros_on_both_sides_of_a_default_chunk_boundary(self, n, name, anti):
+        inf = _chunk_boundary_sequent(n, anti)  # chunks of 16 variables
+        expected = _greedy_first_countermodel(name, inf, anti)
+        assert expected["x15"] == expected["x16"] == 0
+        assert set(expected.values()) == {0, oracles.HALF}
+        assert _decide_like_brute(name, inf, anti) == (False, expected)
+
+
+def _chunk_boundary_sequent(n, anti):
+    """A sequent over x00..x(n-1) whose first TS-validity/ST-antivalidity
+    countermodel sets to 0 the last variable of the first chunk and the first
+    of the second; the other variables are side formulas, which keeps them 1/2."""
+    width = semantics.block_width(2, semantics.BLOCK)
+    assert width < n
+    names = [f"x{i:02d}" for i in range(n)]
+    kept = ", ".join(names[:width - 1] + [f"~{names[width - 1]} | {names[width]}"] + names[width + 1:])
+    zeroed = " | ".join(names[width - 1:])
+    return parse_sequent(f"{zeroed} => {kept}" if anti else f"{kept} => {zeroed}")
 
 
 class TestTheorems:

@@ -15,6 +15,7 @@ from mixcons.semantics import (
     VALUE_ORDER,
     Valuation,
     all_half_valuation,
+    block_width,
     enumerate_valuations,
     eval_formula,
     is_partial_sharpening,
@@ -158,6 +159,17 @@ class TestRailBlocks:
         assert all(b.full.bit_length() == len(values) ** len(b.names) for b in blocks)
         walked = [b.valuation(p).assignments for b in blocks for p in range(b.full.bit_length())]
         assert walked == [v.assignments for v in enumerate_valuations(names, values)]
+
+    @pytest.mark.parametrize("bits,two,three", [(None, 16, 10), (0, 0, 0), (1, 1, 0), (2, 2, 1), (8, 8, 5)])
+    def test_block_width(self, bits, two, three, monkeypatch):
+        # A block takes the most variables whose valuations fit in 2^BLOCK bits.
+        if bits is not None:
+            monkeypatch.setattr(semantics, "BLOCK", bits)
+        for values, k in [(VALUE_ORDER, three), ((ZERO, ONE), two), ((ZERO, HALF), two)]:
+            assert block_width(len(values), semantics.BLOCK) == k
+            assert len(values) ** k <= 2 ** semantics.BLOCK < len(values) ** (k + 1)
+            blocks = list(rail_blocks([f"x{i:02d}" for i in range(k + 1)], values))
+            assert [len(b.names) for b in blocks] == [k] * len(values)
 
     @given(formulas)
     def test_rails_agree_with_eval_formula(self, f):
