@@ -6,7 +6,9 @@ one per line.  Text mode prints a rendering of the same record, so the
 two outputs carry the same fields.  Exit codes are stable across verbs:
 0 for success/valid, 1 for a semantic negative (invalid, non-member,
 failed interpolation), 2 for usage or parse errors or input too deep for
-the recursive printer (parsing and evaluation keep their own stacks).
+what still recurses: the operational dual, formula equality and hashing,
+and the oracle's random formulas (parsing, evaluation and printing keep
+their own stacks).
 
 A verb imports `decomposition`, `duality` or `oracle` when it runs, so a
 process that only checks sequents never loads them.

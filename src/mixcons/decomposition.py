@@ -136,32 +136,34 @@ class TsMinusProduct(Record):
         _set(self, "right_check", right_check)
 
 
-def _classical_literals(v: Valuation, names: Iterable[str]) -> list[Formula]:
-    """`p` for each atom v makes 1 and `~p` for each it makes 0, in sorted order."""
-    literals: list[Formula] = []
-    for atom in sorted(names):
-        value = v.value_of(atom)
-        if value == ONE:
-            literals.append(atom_to_formula(atom))
-        elif value == ZERO:
-            literals.append(Not(atom_to_formula(atom)))
-    return literals
-
-
 def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> list[Formula]:
     """One conjunction of classical literals over `literal_atoms` per valuation
-    making every member of gamma 1, in enumeration order, duplicates removed."""
-    disjuncts: dict[Formula, None] = {}
+    making every member of gamma 1, in enumeration order, duplicates removed.
+
+    In sorted order, an atom the valuation makes 1 is a literal `p`, one it
+    makes 0 is `~p`, and one at 1/2 is left out.  Each strict position is
+    keyed by its literal atoms' values, read off the block position's base-3
+    digits; the conjunctions are built once per distinct key."""
+    literal_atoms = sorted(literal_atoms)
+    literals = [(Not(f), None, f) for f in map(atom_to_formula, literal_atoms)]  # indexed by value
+    keys: dict[tuple[int, ...], None] = {}
     for block in rail_blocks(atoms_of_set(gamma)):
         strict = block.full
         for g in gamma:
             strict &= block.rails(g)[1]  # the "= 1" rail
+        if not strict:
+            continue
+        base = len(block.values)
+        weight = {name: base ** e for e, name in enumerate(reversed(block.names))}
+        # The block's variables sort after the constants and the prefix, so their digits end each key.
+        fixed = tuple(int(block.prefix.value_of(atom)) for atom in literal_atoms if atom not in weight)
+        weights = [weight[atom] for atom in literal_atoms if atom in weight]
         while strict:
             lowest = strict & -strict
-            v = block.valuation(lowest.bit_length() - 1)
-            disjuncts.setdefault(conjoin(_classical_literals(v, literal_atoms)))
+            position = lowest.bit_length() - 1
+            keys.setdefault(fixed + tuple(position // w % base for w in weights))
             strict ^= lowest
-    return list(disjuncts)
+    return [conjoin(literal[value] for literal, value in zip(literals, key) if value != HALF) for key in keys]
 
 
 def k3_dnf(gamma: Iterable[Formula]) -> Formula:

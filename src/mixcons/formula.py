@@ -6,8 +6,10 @@ negation, ``&`` for conjunction, ``|`` for disjunction.  Variables match
 ``[a-z][a-zA-Z0-9_]*``, so they never collide with the constant tokens.
 Precedence is ``~`` > ``&`` > ``|``; both binary operators associate left.
 
-Parsing is one loop with its own stack, so parsed input has no nesting
-limit.  The printer `_text` recurses; `atoms` reads the atoms off its walk.
+The tokenizer is one `findall`; the parser is one loop with its own stack,
+and a parse error is placed in the text only once it has happened.  The
+printer `_text` is one loop with its own stack too, and `atoms` reads the
+atoms off its walk, so neither has a nesting limit.
 """
 
 from __future__ import annotations
@@ -175,26 +177,60 @@ _CONSTANT_TEXT = {type(f): atom for atom, f in _CONSTANTS.items()}
 
 
 def _text(f: Formula, found: set[Atom]) -> str:
-    """`print_formula(f)`, adding the atoms of f to `found` on the way."""
-    kind = type(f)
-    if kind is Var:
-        found.add(f.name)
-        return f.name
-    if kind is Not:
-        sub = _text(f.sub, found)
-        return "~" + sub if _PREC.get(type(f.sub), 4) > 2 else f"~({sub})"
-    prec = _PREC.get(kind)
-    if prec is None:
-        atom = _CONSTANT_TEXT[kind]
-        found.add(atom)
-        return atom
-    left = _text(f.left, found)
-    if _PREC.get(type(f.left), 4) < prec:
-        left = f"({left})"
-    right = _text(f.right, found)
-    if _PREC.get(type(f.right), 4) <= prec:
-        right = f"({right})"
-    return f"{left} & {right}" if kind is And else f"{left} | {right}"
+    """`print_formula(f)`, adding the atoms of f to `found` on the way.
+
+    No recursion: `todo` holds the nodes still to print and, between them,
+    the literal text that follows a node's operands.  A variable operand is
+    printed at once rather than pushed, which saves a step per leaf."""
+    out: list[str] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is str:
+            out.append(g)
+        elif kind is Var:
+            found.add(g.name)
+            out.append(g.name)
+        elif kind is Not:
+            sub = g.sub
+            sub_kind = type(sub)
+            if sub_kind is Var:
+                found.add(sub.name)
+                out.append("~" + sub.name)
+            elif _PREC.get(sub_kind, 4) > 2:
+                out.append("~")
+                todo.append(sub)
+            else:
+                out.append("~(")
+                todo += (")", sub)
+        elif kind is And or kind is Or:
+            prec = _PREC[kind]
+            operator = " & " if kind is And else " | "
+            left, right = g.left, g.right
+            # The right operand and the text before it go on `todo` first.
+            right_kind = type(right)
+            if right_kind is Var:
+                found.add(right.name)
+                todo.append(operator + right.name)
+            elif _PREC.get(right_kind, 4) <= prec:
+                todo += (")", right, operator + "(")
+            else:
+                todo += (right, operator)
+            left_kind = type(left)
+            if left_kind is Var:
+                found.add(left.name)
+                out.append(left.name)
+            elif _PREC.get(left_kind, 4) < prec:
+                out.append("(")
+                todo += (")", left)
+            else:
+                todo.append(left)
+        else:
+            atom = _CONSTANT_TEXT[kind]
+            found.add(atom)
+            out.append(atom)
+    return "".join(out)
 
 
 def print_formula(f: Formula) -> str:
@@ -258,42 +294,58 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-Token = tuple[str, str, int]  # kind, text, position
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<const>[TFL])"
-    r"|(?P<ident>[a-z][a-zA-Z0-9_]*)"
-    r"|(?P<arrow>=>)"
-    r"|(?P<punct>[~&|(),])"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
+# The tokens: constants, punctuation, "=>" and identifiers.  Whitespace
+# separates tokens and is dropped; every other character is an error.
+_TOKEN_RE = re.compile(r"[TFL~&|(),]|=>|[a-z][a-zA-Z0-9_]*")
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text` as plain strings, then "" for the end of the input."""
+    tokens = _TOKEN_RE.findall(text)
+    # Tokens hold no whitespace and never overlap, so they spell the text
+    # without its whitespace exactly when no character falls outside them.
+    if "".join(tokens) != "".join(text.split()):
+        position = _first_stray(text)
+        raise ParseError(f"unexpected character {text[position]!r}", position)
+    tokens.append("")
     return tokens
 
 
-def _unexpected(token: Token, expected: tuple[str, ...], what: str = "unexpected") -> ParseError:
-    kind, text, pos = token
-    return ParseError(f"{what} {text if kind != 'end' else 'end of input'!r}", pos, expected)
+def _first_stray(text: str) -> int:
+    """Position of the first character that is neither whitespace nor in a token."""
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        gap = text[end:m.start()].lstrip()
+        if gap:
+            return m.start() - len(gap)
+        end = m.end()
+    return len(text) - len(text[end:].lstrip())
+
+
+class _Unexpected(Exception):
+    """A parse error at token `index`.  Token positions are only worked out,
+    by `located`, once a parse has failed."""
+
+    def __init__(self, index: int, expected: tuple[str, ...], what: str = "unexpected"):
+        super().__init__(index, expected, what)
+
+    def located(self, text: str) -> ParseError:
+        index, expected, what = self.args
+        matches = list(_TOKEN_RE.finditer(text))
+        if index < len(matches):
+            return ParseError(f"{what} {matches[index].group()!r}", matches[index].start(), expected)
+        return ParseError(f"{what} 'end of input'", len(text), expected)
 
 
 # The parse loop's `pending` stack holds (precedence, node class, left operand)
 # entries.  An open "(" is never reduced; a "~" is reduced by any token.
 _PREFIX = {"~": (3, Not, None), "(": (-1, None, None)}
 _BINARY = {"|": (1, Or), "&": (2, And)}
+_OPERAND = ("~", "(", "constant", "variable")
+_NOT_OPERAND = frozenset(("&", "|", ")", ",", "=>", ""))  # every other token is "~", "(" or an atom
 
 
-def _formula(tokens: list[Token], i: int) -> tuple[Formula, int]:
+def _formula(tokens: list[str], i: int) -> tuple[Formula, int]:
     """The formula that starts at tokens[i], and the index of the token after it.
 
     After each operand, every pending "~" and binary operator that binds at
@@ -302,16 +354,19 @@ def _formula(tokens: list[Token], i: int) -> tuple[Formula, int]:
     """
     pending = []
     while True:
-        kind, text, _ = tokens[i]
-        i += 1
+        text = tokens[i]
         if text in _PREFIX:
             pending.append(_PREFIX[text])
+            i += 1
             continue
-        if kind != "ident" and kind != "const":
-            raise _unexpected(tokens[i - 1], ("~", "(", "constant", "variable"))
-        result = Var(text) if kind == "ident" else _CONSTANTS[text]
+        result = _CONSTANTS.get(text)
+        if result is None:
+            if text in _NOT_OPERAND:
+                raise _Unexpected(i, _OPERAND)
+            result = Var(text)
+        i += 1
         while True:
-            text = tokens[i][1]
+            text = tokens[i]
             precedence, node = _BINARY.get(text, (0, None))
             while pending and pending[-1][0] >= precedence:
                 _, reduce, left = pending.pop()
@@ -323,18 +378,18 @@ def _formula(tokens: list[Token], i: int) -> tuple[Formula, int]:
             if not pending:
                 return result, i
             if text != ")":  # the top of `pending` is an open "("
-                raise _unexpected(tokens[i], (")",))
+                raise _Unexpected(i, (")",))
             pending.pop()
             i += 1
 
 
-def _side(tokens: list[Token], i: int) -> tuple[list[Formula], int]:
+def _side(tokens: list[str], i: int) -> tuple[list[Formula], int]:
     """The comma-separated formulas from tokens[i] on: none before '=>' or the end."""
-    if tokens[i][0] == "end" or tokens[i][1] == "=>":
+    if not tokens[i] or tokens[i] == "=>":
         return [], i
     formula, i = _formula(tokens, i)
     formulas = [formula]
-    while tokens[i][1] == ",":
+    while tokens[i] == ",":
         formula, i = _formula(tokens, i + 1)
         formulas.append(formula)
     return formulas, i
@@ -342,18 +397,24 @@ def _side(tokens: list[Token], i: int) -> tuple[list[Formula], int]:
 
 def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
-    result, i = _formula(tokens, 0)
-    if tokens[i][0] != "end":
-        raise _unexpected(tokens[i], ("end",))
+    try:
+        result, i = _formula(tokens, 0)
+        if tokens[i]:
+            raise _Unexpected(i, ("end",))
+    except _Unexpected as err:
+        raise err.located(text) from None
     return result
 
 
 def parse_sequent(text: str) -> Inference:
     tokens = _tokenize(text)
-    premises, i = _side(tokens, 0)
-    if tokens[i][1] != "=>":
-        raise _unexpected(tokens[i], ("=>",), "missing '=>' separator, got")
-    conclusions, i = _side(tokens, i + 1)
-    if tokens[i][0] != "end":
-        raise _unexpected(tokens[i], ("end",))
+    try:
+        premises, i = _side(tokens, 0)
+        if tokens[i] != "=>":
+            raise _Unexpected(i, ("=>",), "missing '=>' separator, got")
+        conclusions, i = _side(tokens, i + 1)
+        if tokens[i]:
+            raise _Unexpected(i, ("end",))
+    except _Unexpected as err:
+        raise err.located(text) from None
     return Inference(premises, conclusions)

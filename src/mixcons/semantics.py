@@ -48,7 +48,7 @@ class TruthValue(enum.IntEnum):
         return _NEGATION[self]
 
     def __str__(self) -> str:
-        return {0: "0", 1: "1/2", 2: "1"}[self.value]
+        return _TEXT[self]
 
 
 ZERO = TruthValue.ZERO
@@ -56,8 +56,9 @@ HALF = TruthValue.HALF
 ONE = TruthValue.ONE
 
 VALUE_ORDER = (ZERO, HALF, ONE)
-# Complements indexed by value: a tuple lookup, not an enum construction.
+# Complements and printed texts indexed by value: tuple lookups.
 _NEGATION = (ONE, HALF, ZERO)
+_TEXT = ("0", "1/2", "1")
 _CONSTANT_VALUES = {TOP_ATOM: ONE, BOT_ATOM: ZERO, LAM_ATOM: HALF}
 
 

@@ -16,8 +16,11 @@ it records:
 - the `--json` truthtable rows of each side formula, for n <= 4.
 
 An exception is recorded as its type name.  The script prints how many
-answers of each kind it recorded and the SHA-256 of all of them.  Its file
-name does not start with `test_`, so pytest does not collect it.
+answers of each kind it recorded and the SHA-256 of all of them.  With
+`--entries` it first prints one line per answer, the SHA-256 of that answer's
+record and its kind, so that `diff` of two runs names the answers that
+changed.  Its file name does not start with `test_`, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -143,6 +146,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=2000, help="number of sequents")
+    parser.add_argument("--entries", action="store_true", help="also print each answer's hash and kind")
     args = parser.parse_args()
     rng = random.Random(args.seed)
     digest, counts, raised = hashlib.sha256(), collections.Counter(), collections.Counter()
@@ -152,7 +156,10 @@ def main() -> None:
             counts[kind] += 1
             if isinstance(answer, dict) and "raised" in answer:
                 raised[kind, answer["raised"]] += 1
-            digest.update(json.dumps([text, kind, answer]).encode() + b"\n")
+            record = json.dumps([text, kind, answer]).encode() + b"\n"
+            digest.update(record)
+            if args.entries:
+                print(hashlib.sha256(record).hexdigest(), kind)
     for kind in sorted(counts):
         print(f"{kind:16} {counts[kind]}")
     for (kind, name), count in sorted(raised.items()):

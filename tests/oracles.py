@@ -87,21 +87,35 @@ def brute_equivalent(f, g) -> bool:
     return True
 
 
-def brute_first_countermodel(logic_name: str, inf: Inference, anti: bool = False):
-    """First countermodel over all 3^n environments, as a name -> Fraction dict.
+def brute_first_countermodels(inf: Inference, modes) -> dict:
+    """First countermodel of each (logic name, anti) pair in `modes`, from one walk.
 
     Environments are visited in lexicographic order of the sorted variable
-    names with 0 < 1/2 < 1; None when there is no countermodel.
+    names with 0 < 1/2 < 1, and each side formula is evaluated once per
+    environment for all the pairs.  A countermodel is a name -> Fraction
+    dict, None for a pair that has none.
     """
-    d1, d2 = DESIGNATED[logic_name]
+    first = dict.fromkeys(modes)
+    pending = list(first)
     names = sorted(set().union(*(formula_vars(f) for f in inf.premises + inf.conclusions), set()))
     for combo in itertools.product(VALUES, repeat=len(names)):
         env = dict(zip(names, combo))
-        premises = [brute_eval(g, env) in d1 for g in inf.premises]
-        conclusions = [brute_eval(d, env) in d2 for d in inf.conclusions]
-        if anti:
-            if not any(premises) and all(conclusions):
-                return env
-        elif all(premises) and not any(conclusions):
-            return env
-    return None
+        premises = [brute_eval(g, env) for g in inf.premises]
+        conclusions = [brute_eval(d, env) for d in inf.conclusions]
+        for mode in list(pending):
+            d1, d2 = DESIGNATED[mode[0]]
+            if mode[1]:
+                hit = not any(v in d1 for v in premises) and all(v in d2 for v in conclusions)
+            else:
+                hit = all(v in d1 for v in premises) and not any(v in d2 for v in conclusions)
+            if hit:
+                first[mode] = env
+                pending.remove(mode)
+        if not pending:
+            break
+    return first
+
+
+def brute_first_countermodel(logic_name: str, inf: Inference, anti: bool = False):
+    """`brute_first_countermodels` of the one pair (logic_name, anti)."""
+    return brute_first_countermodels(inf, [(logic_name, anti)])[logic_name, anti]

@@ -297,30 +297,53 @@ class TestContract:
 
 
 class TestDeepInput:
-    """Input too deep for the recursive printer is a usage error.  The parser
-    keeps its own stack, so parentheses alone never are: they leave no node."""
+    """Deep input gets its answer with no traceback: the parser, the evaluator
+    and the printer keep their own stacks, and parentheses alone leave no
+    node.  The operational dual still recurses, so there deep input is a
+    usage error."""
 
     SRC = os.path.dirname(os.path.dirname(mixcons.__file__))
+
+    @staticmethod
+    def _run(*argv):
+        env = dict(os.environ, PYTHONPATH=TestDeepInput.SRC)
+        return subprocess.run(
+            [sys.executable, "-c", "from mixcons.cli import entry_point; entry_point()", *argv],
+            capture_output=True, text=True, env=env,
+        )
 
     @pytest.mark.parametrize(
         "sequent,code,stdout,stderr",
         [
-            ("~" * 5000 + "p => p", 2, "", "input nested too deeply"),
+            ("~" * 5000 + "p => p", 0, "VALID", ""),
             ("(" * 3000 + "p" + ")" * 3000 + " => p", 0, "VALID", ""),
-            (" & ".join(["p"] * 20000) + " => p", 2, "", "input nested too deeply"),
+            (" & ".join(["p"] * 20000) + " => p", 0, "VALID", ""),
         ],
         ids=["negations", "parentheses", "flat-conjunction"],
     )
-    def test_exit_usage_without_traceback(self, sequent, code, stdout, stderr):
-        env = dict(os.environ, PYTHONPATH=self.SRC)
-        done = subprocess.run(
-            [sys.executable, "-c", "from mixcons.cli import entry_point; entry_point()",
-             "check", "--logic", "st", sequent],
-            capture_output=True, text=True, env=env,
-        )
+    def test_answer_without_traceback(self, sequent, code, stdout, stderr):
+        done = self._run("check", "--logic", "st", sequent)
         assert done.returncode == code
         assert "Traceback" not in done.stderr
         assert (done.stdout.strip(), done.stderr.strip()) == (stdout, stderr)
+
+    def test_recursive_dual_is_a_usage_error(self):
+        done = self._run("dualize", "--map", "op", "~" * 5000 + "p")
+        assert done.returncode == 2
+        assert (done.stdout, done.stderr.strip()) == ("", "input nested too deeply")
+
+    @pytest.mark.parametrize("argv,head", [
+        (["interpolate", "~((x2 & ~(x0 | x1)) & ((x5 & x6) & (x4 | x3))) => "
+                         "~((x2 & ~(x0 | x1)) & ((x5 & x6) & (x4 | x3))) | x4"], "interpolant: "),
+        (["decompose", "--mode", "st-product",
+          " & ".join(f"(x{i} | ~x{i})" for i in range(10)) + " => x0 | ~x0"], "MEMBER connector: "),
+    ], ids=["interpolate", "st-product"])
+    def test_deep_connector_prints(self, argv, head):
+        done = self._run(*argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith(head)
+        assert [line.rsplit(" -> ", 1)[1] for line in lines[1:]] == ["valid", "valid"]
 
 
 class TestColdStart:

@@ -52,7 +52,14 @@ from conftest import (
     wide_inferences,
 )
 import oracles
-from oracles import brute_antivalid, brute_eval, brute_first_countermodel, brute_valid, formula_vars
+from oracles import (
+    brute_antivalid,
+    brute_eval,
+    brute_first_countermodel,
+    brute_first_countermodels,
+    brute_valid,
+    formula_vars,
+)
 
 MIXED_EXAMPLE = parse_sequent("p | (q & ~q) => p & (q | ~q)")
 
@@ -233,8 +240,7 @@ def _decide_like_brute(name, inf, anti):
 
 
 def _assert_brute_force_walk(inf, modes):
-    for name, anti in modes:
-        expected = brute_first_countermodel(name, inf, anti)
+    for (name, anti), expected in brute_first_countermodels(inf, modes).items():
         assert _decide_like_brute(name, inf, anti) == (expected is None, expected)
 
 

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from mixcons import decomposition, semantics
 from mixcons.formula import (
+    And,
     Inference,
     Not,
     Or,
@@ -314,6 +315,41 @@ def _brute_milne(phi, psi):
     if _brute_classically_valid(Inference((), (psi,))):
         return MilneFailure("tautology")
     return _brute_strict_dnf((phi,), atoms(phi) & atoms(psi))
+
+
+def _disjuncts(f) -> int:
+    """How many disjuncts a left-nested disjunction of conjunctions has."""
+    count = 1
+    while type(f) is Or:
+        f, count = f.left, count + 1
+    return count
+
+
+class TestDeepConnectors:
+    """Connectors with about a thousand disjuncts nest far past Python's
+    recursion limit.  They are built, both component checks hold, and they
+    print; the inputs are built without the parser."""
+
+    def test_seven_variable_interpolant(self):
+        x = [Var(f"x{i}") for i in range(7)]
+        phi = Not(And(And(x[2], Not(Or(x[0], x[1]))), And(And(x[5], x[6]), Or(x[4], x[3]))))
+        psi = Or(phi, x[4])
+        interpolant = milne_interpolant(phi, psi)
+        assert _disjuncts(interpolant) == 1931
+        witness = product_witness(Inference((phi,), (psi,)), interpolant, K3, LP)
+        assert witness.left_check.valid and witness.right_check.valid
+        text = print_formula(interpolant)
+        assert print_formula(parse_formula(text)) == text
+
+    def test_ten_variable_st_product(self):
+        x = [Var(f"x{i}") for i in range(10)]
+        excluded_middle = [Or(v, Not(v)) for v in x]
+        witness = st_connecting_formula(Inference((conjoin(excluded_middle),), (excluded_middle[0],)))
+        assert isinstance(witness, ProductWitness)
+        assert witness.left_check.valid and witness.right_check.valid
+        assert _disjuncts(witness.connector) == 2 ** 10
+        first = " & ".join(f"~x{i}" for i in range(10))
+        assert print_formula(witness.connector).startswith(first + " | ")
 
 
 class TestBlockBoundary:

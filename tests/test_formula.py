@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -18,6 +20,7 @@ from mixcons.formula import (
     TOP,
     atoms,
     atoms_of_set,
+    conjoin,
     fresh_variable,
     parse_formula,
     parse_sequent,
@@ -100,6 +103,38 @@ class TestParsing:
             assert f.right == P
             f = f.left
         assert f == P
+
+
+    def test_stray_character_after_a_long_identifier(self):
+        # The check is one scan of the text: 200,000 characters take well under
+        # a second, where a scan that backtracked over the identifier would not.
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_formula("a" * 200_000 + "$")
+        assert time.perf_counter() - start < 1.0
+        assert (str(exc.value), exc.value.position) == ("unexpected character '$' at position 200000", 200_000)
+
+
+class TestDeepFormulas:
+    """Formulas nested far past Python's recursion limit, built without the
+    parser, go through `Inference` and print."""
+
+    def test_negations(self):
+        f = P
+        for _ in range(5000):
+            f = Not(f)
+        text = "~" * 5000 + "p"
+        assert print_formula(f) == text
+        inf = Inference((f,), (P,))
+        assert (print_sequent(inf), inf.atoms()) == (text + " => p", {"p"})
+
+    def test_flat_conjunction(self):
+        f = conjoin([P] * 20_000)
+        text = " & ".join(["p"] * 20_000)
+        assert print_formula(f) == text
+        inf = Inference((f, Q), (f,))
+        assert (print_sequent(inf), inf.atoms()) == (f"{text}, q => {text}", {"p", "q"})
+        assert print_formula(Not(And(Or(P, R), f))) == f"~((p | r) & ({text}))"
 
 
 _OPERAND = ("~", "(", "constant", "variable")
