@@ -6,15 +6,17 @@ the same set on both sides; ST and TS mix the two.
 
 Validity and antivalidity return the lexicographically first countermodel
 (sorted variables, 0 < 1/2 < 1): the lowest bit, one per valuation walked,
-of a block where the side formulas' rails (`semantics.rail_blocks`) make
-every premise and no conclusion designated (for antivalidity: no premise
-and every conclusion).  K3 and LP walk all 3^n valuations.  Countermodels
-of ST-validity and TS-antivalidity are closed under sharpening, so only
-{0,1}^n is walked.  Those of TS-validity and ST-antivalidity are closed
-under moving values to 1/2: each chunk of up to 16 sorted variables (the
-most whose 2^k valuations fit in a block of 2^BLOCK bits) is one {0,1/2}
-block, with earlier chunks fixed and later ones 1/2, and its lowest hit
-fixes it; none in the first chunk means valid.
+of a block where every premise and no conclusion is designated (for
+antivalidity: no premise and every conclusion).  Each side formula is
+evaluated once per block (`semantics.rail_blocks`), for one rail: that of
+its designated set, or for "not designated" the other rail of its negation
+(f < 1/2 is ~f = 1, f < 1 is ~f >= 1/2).  K3 and LP walk all 3^n
+valuations.  Countermodels of ST-validity and TS-antivalidity are closed
+under sharpening, so only {0,1}^n is walked.  Those of TS-validity and
+ST-antivalidity are closed under moving values to 1/2: each chunk of up to
+16 sorted variables (the most whose 2^k valuations fit in a block of
+2^BLOCK bits) is one {0,1/2} block, with earlier chunks fixed and later
+ones 1/2, and its lowest hit fixes it; none in the first chunk means valid.
 """
 
 from __future__ import annotations
@@ -72,10 +74,9 @@ class Verdict(Record):
 def _hits(block, sides) -> int:
     """The positions of `block` where every premise and no conclusion is
     designated (for antivalidity: no premise and every conclusion)."""
-    full = hits = block.full
-    for f, rail, undesignated in sides:
-        designated = block.rails(f)[rail]
-        hits &= full ^ designated if undesignated else designated
+    hits = block.full
+    for f, rail in sides:
+        hits &= block.rail(f, rail)
         if not hits:
             break
     return hits
@@ -106,12 +107,14 @@ def _chunk_walk(sides, inf: Inference) -> Verdict:
 
 
 def _sides(logic: LogicStandard, inf: Inference, anti: bool) -> list:
-    """(formula, rail, undesignated) per side formula; rail 0 (>= 1/2) is
-    tolerant designation, rail 1 (= 1) strict designation."""
+    """(formula, rail) per side formula: where it must be designated, rail 0
+    (>= 1/2) if tolerant and rail 1 (= 1) if strict; where it must not be,
+    that rail ^ 3, the other rail of its negation (f < 1/2 is ~f = 1, rail 3;
+    f < 1 is ~f >= 1/2, rail 2)."""
     premise_rail = 0 if HALF in logic.premise_designated else 1
     conclusion_rail = 0 if HALF in logic.conclusion_designated else 1
-    sides = [(g, premise_rail, anti) for g in inf.premises]
-    return sides + [(d, conclusion_rail, not anti) for d in inf.conclusions]
+    sides = [(g, premise_rail ^ 3 if anti else premise_rail) for g in inf.premises]
+    return sides + [(d, conclusion_rail if anti else conclusion_rail ^ 3) for d in inf.conclusions]
 
 
 def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Verdict:

@@ -150,7 +150,7 @@ def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> lis
     for block in rail_blocks(atoms_of_set(gamma)):
         strict = block.full
         for g in gamma:
-            strict &= block.rails(g)[1]  # the "= 1" rail
+            strict &= block.rail(g, 1)  # the "= 1" rail
         if not strict:
             continue
         base = len(block.values)
@@ -216,10 +216,10 @@ def _constant_witness(inf: Inference) -> Optional[Union[AlwaysZeroPremise, Alway
     """
     half = _rail_block(Valuation(dict.fromkeys(inf.variables(), HALF)), ())  # all-1/2 only
     for g in inf.premises:
-        if half.rails(g) == (0, 0):
+        if half.rail(g, 0) == 0:  # not >= 1/2
             return AlwaysZeroPremise(g)
     for d in inf.conclusions:
-        if half.rails(d) == (1, 1):
+        if half.rail(d, 1) == 1:  # = 1
             return AlwaysOneConclusion(d)
     return None
 

@@ -6,12 +6,15 @@ exact enum (internally doubled to 0, 1, 2), never floats, so the
 min/max/complement identities hold on the nose.
 
 Formulas are evaluated one way, as rails, with an explicit stack: over a
-block of valuations, two big-int masks with bit p set where the p-th
-valuation makes the formula >= 1/2 and where it makes it 1 (the dual-rail
-encoding of Bryant & Seger, CAV 1990).  `rail_blocks` walks the |values|^n
-valuations into `values` in blocks of |values|^k <= 2^BLOCK bits, one per
-assignment to all but the last k variables; `eval_formula` reads rails at one
-valuation.
+block of valuations, a big-int mask with bit p set where the p-th valuation
+makes the formula >= 1/2 (rail 0) or makes it 1 (rail 1), the dual-rail
+encoding of Bryant & Seger, CAV 1990.  A decision tests each formula against
+one designated set, so each evaluation computes one rail.  Negations are
+pushed to the leaves: under an odd number of them & and | swap (De Morgan)
+and a variable's negated rails are read, rails 2 and 3 (<= 1/2 and = 0).
+`rail_blocks` walks the |values|^n valuations into `values` in blocks of
+|values|^k <= 2^BLOCK bits, one per assignment to all but the last k
+variables; `eval_formula` reads both rails at one valuation.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .formula import (
     Atom,
     Bot,
     Formula,
+    Lambda,
     Not,
     Or,
     Record,
@@ -112,7 +116,9 @@ def enumerate_valuations(domain: Iterable[Atom],
 
 BLOCK = 16  # a block holds at most 2^BLOCK valuations: 16 variables into two values, 10 into three
 
-Rails = tuple[int, int]  # (value >= 1/2, value = 1), bit p for the p-th valuation of a block
+# A variable's rails, bit p for the p-th valuation of a block: value >= 1/2 and
+# value = 1, then the same two of its negation (value <= 1/2 and value = 0).
+Rails = tuple[int, int, int, int]
 
 
 @functools.cache
@@ -134,40 +140,48 @@ def _block_rails(k: int, values: tuple[TruthValue, ...]) -> tuple[int, tuple[Rai
         first = tuple(sum(full << s for s, v in zip(shifts, values) if v >= least) for least in (HALF, ONE))
         rails = (first, *((sum(h << s for s in shifts), sum(o << s for s in shifts)) for h, o in rails))
         full = sum(full << s for s in shifts)
-    return full, rails
+    return full, tuple((h, o, full ^ o, full ^ h) for h, o in rails)
 
 
-def _rails(f: Formula, env: dict[Atom, Rails], full: int) -> Rails:
-    """Rails of f given each variable's: AND, OR, and swap-and-complement for ~.
+def _constant_rails(full: int) -> tuple[Rails, ...]:
+    """The rails of a variable fixed at each value, indexed by value."""
+    return (0, 0, full, full), (full, 0, full, 0), (full, full, 0, 0)
 
-    No recursion: `todo` holds formulas and, as markers, the connective
-    classes whose operands are already on `out`."""
-    out: list[Rails] = []
-    todo: list = [f]
+
+def _rail(f: Formula, env: dict[Atom, Rails], full: int, rail: int) -> int:
+    """One rail of f given each variable's: 0 (>= 1/2) or 1 (= 1); 2 and 3
+    are those rails of ~f.
+
+    No recursion: `todo` holds formulas, each above the rail it is asked
+    for, and, as markers, the connectives whose operands are already on
+    `out`.  Negations are pushed to the leaves: ~ asks its operand for the
+    rail of the negation (rail ^ 2), so an odd number of enclosing ~ ask
+    for rail 2 or 3, which swaps & and | (De Morgan) and reads a variable's
+    negated rails and a constant's complement."""
+    out: list[int] = []
+    todo: list = [rail, f]
     while todo:
         g = todo.pop()
         kind = type(g)
         if kind is Var:
-            out.append(env[g.name])
-        elif kind is type:
-            if g is Not:
-                h, o = out.pop()
-                out.append((full ^ o, full ^ h))
-            else:
-                h2, o2 = out.pop()
-                h1, o1 = out.pop()
-                out.append((h1 & h2, o1 & o2) if g is And else (h1 | h2, o1 | o2))
+            out.append(env[g.name][todo.pop()])
+        elif kind is type:  # both operands' rails are on `out`
+            right = out.pop()
+            out.append(out.pop() & right if g is And else out.pop() | right)
         elif kind is Not:
-            todo += (Not, g.sub)
+            todo[-1] ^= 2
+            todo.append(g.sub)
         elif kind is And or kind is Or:
-            todo += (kind, g.right, g.left)
-        elif kind is Top:
-            out.append((full, full))
-        elif kind is Bot:
-            out.append((0, 0))
-        else:  # Lambda
-            out.append((full, 0))
+            rail = todo.pop()
+            todo += (kind if rail < 2 else _DE_MORGAN[kind], rail, g.right, rail, g.left)
+        else:  # a constant
+            out.append(_CONSTANT_RAILS[kind][todo.pop()] & full)
     return out[0]
+
+
+_DE_MORGAN = {And: Or, Or: And}
+# A constant's rails are a fixed variable's at every position: -1, all ones, cut to `full`.
+_CONSTANT_RAILS = dict(zip((Bot, Lambda, Top), _constant_rails(-1)))
 
 
 class _PointRails(dict):
@@ -177,14 +191,14 @@ class _PointRails(dict):
         self.v = v
 
     def __missing__(self, name: Atom) -> Rails:
-        rails = self[name] = ((0, 0), (1, 0), (1, 1))[self.v.value_of(name)]
+        rails = self[name] = _constant_rails(1)[self.v.value_of(name)]
         return rails
 
 
 def eval_formula(f: Formula, v: Valuation) -> TruthValue:
-    """The value of f under v: its rails at the one valuation v, summed."""
-    h, o = _rails(f, _PointRails(v), 1)
-    return VALUE_ORDER[h + o]
+    """The value of f under v: its two rails at the one valuation v, summed."""
+    env = _PointRails(v)
+    return VALUE_ORDER[_rail(f, env, 1, 0) + _rail(f, env, 1, 1)]
 
 
 class RailBlock(NamedTuple):
@@ -196,8 +210,12 @@ class RailBlock(NamedTuple):
     env: dict[Atom, Rails]
     full: int  # every position: one bit per valuation of the block
 
-    def rails(self, f: Formula) -> Rails:
-        return _rails(f, self.env, self.full)
+    def rail(self, f: Formula, rail: int) -> int:
+        return _rail(f, self.env, self.full, rail)
+
+    def rails(self, f: Formula) -> tuple[int, int]:
+        """(value >= 1/2, value = 1), one rail at a time."""
+        return self.rail(f, 0), self.rail(f, 1)
 
     def valuation(self, position: int) -> Valuation:
         """The valuation at bit `position`: its base-|values| digits, first variable most significant."""
@@ -218,7 +236,7 @@ def _rail_block(prefix: Valuation, names: tuple[Atom, ...],
     full, rails = _block_rails(len(names), values)
     env = dict(zip(names, rails))
     if prefix.assignments:
-        constant = ((0, 0), (full, 0), (full, full))  # indexed by value
+        constant = _constant_rails(full)
         env = {**{n: constant[v] for n, v in prefix.assignments.items()}, **env}
     return RailBlock(prefix, names, values, env, full)
 

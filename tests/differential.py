@@ -15,6 +15,12 @@ it records:
 - the Milne interpolant, for sequents with one premise and one conclusion;
 - the `--json` truthtable rows of each side formula, for n <= 4.
 
+`--wide COUNT` then draws COUNT more sequents from the same generator, with
+n = 13..20 variables, and records only their ST and TS verdicts (kinds
+`wide ST valid` ...): these walks cross a 2^16-bit {0,1} block or a
+16-variable {0,1/2} chunk, which the draws above never reach.  Without it
+the output is that of the plain run.
+
 An exception is recorded as its type name.  The script prints how many
 answers of each kind it recorded and the SHA-256 of all of them.  With
 `--entries` it first prints one line per answer, the SHA-256 of that answer's
@@ -46,6 +52,7 @@ from mixcons.decomposition import (
 from mixcons.formula import Formula, parse_sequent, print_formula
 
 MAX_VARS = 12
+WIDE_VARS = (13, 20)
 
 
 def _formula_text(rng: random.Random, leaves: list[str]) -> str:
@@ -82,6 +89,23 @@ def sequent_text(rng: random.Random) -> str:
     premises, conclusions = (", ".join(_formula_text(rng, g) for g in side)
                              for side in (groups[:split], groups[split:]))
     return f"{premises} => {conclusions}".strip()
+
+
+def wide_sequent_text(rng: random.Random) -> str:
+    """A sequent over exactly n variables x0..x(n-1), n in WIDE_VARS.
+
+    A third are valid in ST (full walks); a third conjoin x0, the first
+    variable in sorted order, to the premises, which moves ST and TS
+    countermodels past every valuation with x0 = 0."""
+    n = rng.randint(*WIDE_VARS)
+    leaves = [f"x{i}" for i in range(n)]
+    leaves += rng.choices(leaves, k=rng.randint(0, 3))
+    if rng.random() < 0.15:
+        leaves.append("L")
+    rng.shuffle(leaves)
+    cut = rng.randint(1, len(leaves) - 1)
+    a, b = _formula_text(rng, leaves[:cut]), _formula_text(rng, leaves[cut:])
+    return rng.choice([f"{a} => {a} | {b}", f"x0 & {a} => {b}", f"{a} => {b}"])
 
 
 def _valuation(v) -> list:
@@ -142,17 +166,28 @@ def answers(text: str):
             yield kind, {"raised": type(err).__name__}
 
 
+def wide_answers(text: str):
+    """(kind, answer) for the ST and TS verdicts of the sequent `text`."""
+    inf = parse_sequent(text)
+    for name in ("ST", "TS"):
+        for mode in (valid, antivalid):
+            yield f"wide {name} {mode.__name__}", _verdict(mode(STANDARDS[name], inf))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=2000, help="number of sequents")
     parser.add_argument("--entries", action="store_true", help="also print each answer's hash and kind")
+    parser.add_argument("--wide", type=int, default=0, metavar="COUNT",
+                        help="then COUNT sequents with 13..20 variables, ST and TS verdicts only")
     args = parser.parse_args()
     rng = random.Random(args.seed)
     digest, counts, raised = hashlib.sha256(), collections.Counter(), collections.Counter()
-    for _ in range(args.count):
-        text = sequent_text(rng)
-        for kind, answer in answers(text):
+    draws = [(sequent_text, answers)] * args.count + [(wide_sequent_text, wide_answers)] * args.wide
+    for draw, record_answers in draws:
+        text = draw(rng)
+        for kind, answer in record_answers(text):
             counts[kind] += 1
             if isinstance(answer, dict) and "raised" in answer:
                 raised[kind, answer["raised"]] += 1

@@ -346,6 +346,14 @@ class TestDeepInput:
         assert [line.rsplit(" -> ", 1)[1] for line in lines[1:]] == ["valid", "valid"]
 
 
+class TestModuleRun:
+    def test_python_m_runs_the_verb(self):
+        # `python -m mixcons.cli` answers as `entry_point` does: an invalid sequent exits 1.
+        done = subprocess.run([sys.executable, "-m", "mixcons.cli", "check", "--logic", "st", "p => q"],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=TestDeepInput.SRC))
+        assert (done.returncode, done.stdout, done.stderr) == (1, "INVALID\ncountermodel: p=1 q=0\n", "")
+
+
 class TestColdStart:
     """`import mixcons.cli` loads only what `check` runs; the package loads names on first use."""
 

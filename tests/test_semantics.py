@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,11 @@ from conftest import formulas
 from oracles import brute_eval, formula_vars
 
 _FRAC = {ZERO: Fraction(0), HALF: Fraction(1, 2), ONE: Fraction(1)}
+
+
+def _rail_bits(value: Fraction) -> list[bool]:
+    """Rails 0-3 at the value: >= 1/2 and = 1, then the same two of its negation."""
+    return [value >= _FRAC[HALF], value == 1, 1 - value >= _FRAC[HALF], 1 - value == 1]
 
 
 def dual_valuation(v: Valuation) -> Valuation:
@@ -171,20 +177,43 @@ class TestRailBlocks:
             blocks = list(rail_blocks([f"x{i:02d}" for i in range(k + 1)], values))
             assert [len(b.names) for b in blocks] == [k] * len(values)
 
-    @given(formulas)
-    def test_rails_agree_with_eval_formula(self, f):
-        [block] = rail_blocks(atoms(f))
-        half, one = block.rails(f)
-        for p in range(block.full.bit_length()):
-            value = eval_formula(f, block.valuation(p))
-            assert (half >> p & 1, one >> p & 1) == (value >= HALF, value == ONE)
+    @pytest.mark.parametrize("values", [VALUE_ORDER, (ZERO, ONE), (ZERO, HALF)])
+    @pytest.mark.parametrize("block_size", [None, 1, 2])
+    @given(f=formulas)
+    def test_each_rail_agrees_with_brute_eval(self, block_size, values, f):
+        # The Fraction evaluator at each valuation of the walk, in its own order; at
+        # BLOCK 1 and 2 some or all variables are prefix constants, negated ones too.
+        with pytest.MonkeyPatch.context() as patch:
+            if block_size is not None:
+                patch.setattr(semantics, "BLOCK", block_size)
+            blocks = list(rail_blocks(atoms(f), values))
+        names = sorted(formula_vars(f))
+        envs = itertools.product([_FRAC[v] for v in values], repeat=len(names))
+        for block in blocks:
+            rails = [block.rail(f, rail) for rail in range(4)]
+            assert block.rails(f) == tuple(rails[:2])
+            for p in range(block.full.bit_length()):
+                value = brute_eval(f, dict(zip(names, next(envs))))
+                assert [r >> p & 1 for r in rails] == _rail_bits(value)
+        assert next(envs, None) is None
+
+    @pytest.mark.parametrize("text", ["~L", "~T", "~F", "~~L", "~(L & ~T)", "~(p | ~L)"])
+    def test_constants_under_negation(self, text):
+        f = parse_formula(text)
+        [block] = rail_blocks({"p"})  # p at 0, 1/2, 1: bits 0, 1, 2
+        for p, value in enumerate(VALUE_ORDER):
+            expected = _rail_bits(brute_eval(f, {"p": _FRAC[value]}))
+            assert [block.rail(f, rail) >> p & 1 for rail in range(4)] == expected
 
     def test_deep_formula_without_recursion(self):
         f = Var("p")
         for _ in range(20000):
             f = Not(f)
         [block] = rail_blocks({"p"})
-        assert block.rails(f) == block.rails(Var("p"))
+        assert block.env["p"] == (0b110, 0b100, 0b011, 0b001)  # p at 0, 1/2, 1: bits 0, 1, 2
+        for rail in range(4):
+            assert block.rail(f, rail) == block.env["p"][rail]  # an even number of ~
+            assert block.rail(Not(f), rail) == block.env["p"][rail ^ 2]
 
 
 class TestSharpening:
