@@ -13,7 +13,8 @@ import importlib
 _EXPORTS = {
     "formula": (
         "And", "Bot", "Formula", "Inference", "Lambda", "Not", "Or", "ParseError", "Top", "Var",
-        "BOT", "LAM", "TOP", "atoms", "parse_formula", "parse_sequent", "print_formula", "print_sequent",
+        "BOT", "LAM", "TOP", "atoms", "invert", "parse_formula", "parse_sequent", "print_formula",
+        "print_sequent",
     ),
     "semantics": (
         "HALF", "ONE", "ZERO", "TruthValue", "Valuation", "all_half_valuation", "enumerate_valuations",
@@ -29,8 +30,7 @@ _EXPORTS = {
         "milne_interpolant", "st_connecting_formula", "ts_sum_decision",
     ),
     "duality": (
-        "ROUTES", "direct_membership", "dual_set_membership", "invert", "neg_dual_inference", "op_dual",
-        "op_dual_inference",
+        "ROUTES", "direct_membership", "dual_set_membership", "neg_dual_inference", "op_dual", "op_dual_inference",
     ),
     "oracle": ("OracleReport", "PropertyResult", "run_oracle"),
 }

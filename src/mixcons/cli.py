@@ -6,9 +6,9 @@ one per line.  Text mode prints a rendering of the same record, so the
 two outputs carry the same fields.  Exit codes are stable across verbs:
 0 for success/valid, 1 for a semantic negative (invalid, non-member,
 failed interpolation), 2 for usage or parse errors or input too deep for
-what still recurses: the operational dual, formula equality and hashing,
-and the oracle's random formulas (parsing, evaluation and printing keep
-their own stacks).
+what still recurses: formula equality and hashing, and the oracle's random
+formulas (parsing, evaluation, printing and the operational dual keep their
+own stacks).
 
 A verb imports `decomposition`, `duality` or `oracle` when it runs, so a
 process that only checks sequents never loads them.
@@ -28,6 +28,7 @@ from .formula import (
     Inference,
     ParseError,
     atoms,
+    invert,
     parse_formula,
     parse_sequent,
     print_formula,
@@ -170,7 +171,7 @@ def cmd_decompose(args: argparse.Namespace) -> Answer:
 
 
 def cmd_dualize(args: argparse.Namespace) -> Answer:
-    from .duality import invert, neg_dual_inference, op_dual, op_dual_inference
+    from .duality import neg_dual_inference, op_dual, op_dual_inference
 
     text = args.input
     if "=>" in text:

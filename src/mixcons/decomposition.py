@@ -9,6 +9,10 @@ constantly true; when it fails, a fresh pivot variable refutes membership
 in the relative sum.  On the lambda-free fragment the product also works
 with LP on the left and K3 on the right; with lambda available, that
 product is universal.
+
+The TS- product follows by inversion: Gamma => Delta is TS-antivalid
+exactly when Delta => Gamma is ST-valid, so `ts_minus_product_decision` is
+the ST product of the inverted inference, connector included.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .formula import (
     conjoin,
     disjoin,
     fresh_variable,
+    invert,
     print_formula,
     print_sequent,
     BOT,
@@ -125,17 +130,6 @@ class TsSumDecision(Record):
         _set(self, "reason", reason)
 
 
-class TsMinusProduct(Record):
-    __slots__ = __match_args__ = ("member", "connector", "left_check", "right_check")
-
-    def __init__(self, member: bool, connector: Optional[Formula] = None,
-                 left_check: Optional[Verdict] = None, right_check: Optional[Verdict] = None):
-        _set(self, "member", member)
-        _set(self, "connector", connector)
-        _set(self, "left_check", left_check)
-        _set(self, "right_check", right_check)
-
-
 def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> list[Formula]:
     """One conjunction of classical literals over `literal_atoms` per valuation
     making every member of gamma 1, in enumeration order, duplicates removed.
@@ -179,14 +173,12 @@ def k3_dnf(gamma: Iterable[Formula]) -> Formula:
 
 
 def product_witness(
-    inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard, decide=None
+    inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard
 ) -> ProductWitness:
-    """`connector` with the checks `decide(left, premises => connector)` and
-    `decide(right, connector => conclusions)`, both of which must hold.  `decide`
-    defaults to `valid`, looked up per call so that a rebound module name is seen."""
-    decide = decide or valid
-    left_check = decide(left, Inference(inf.premises, (connector,)))
-    right_check = decide(right, Inference((connector,), inf.conclusions))
+    """`connector` with the checks `valid(left, premises => connector)` and
+    `valid(right, connector => conclusions)`, both of which must hold."""
+    left_check = valid(left, Inference(inf.premises, (connector,)))
+    right_check = valid(right, Inference((connector,), inf.conclusions))
     if not (left_check.valid and right_check.valid):
         raise RuntimeError(
             f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}"
@@ -316,19 +308,17 @@ def st_minus_sum_decision(inf: Inference) -> bool:
     return antivalid(ST, inf).valid
 
 
-def ts_minus_product_decision(inf: Inference) -> TsMinusProduct:
+def ts_minus_product_decision(inf: Inference) -> Union[ProductWitness, DecompositionFailure]:
     """Membership in the product of LP- and K3-antivalidities (= TS-antivalidity).
 
-    On membership the connector is the ST product connector of the
-    inverted inference, reused in mirrored position: T for no conclusions,
-    else the K3-DNF of the conclusions.  The component checks are LP- and
-    K3-antivalidity.
+    Gamma => Delta is in TS- = LP- | K3- exactly when Delta => Gamma is in
+    ST+ = K3+ | LP+, through the same connector, so this is the ST product of
+    the inverted inference.  A witness's connector is T for no conclusions,
+    else the K3-DNF of the conclusions; its `left_check` is K3+ of
+    Delta => C and its `right_check` LP+ of C => Gamma.  A failure carries
+    the TS-antivalidity countermodel.
     """
-    if not antivalid(TS, inf).valid:
-        return TsMinusProduct(False)
-    connector = TOP if not inf.conclusions else k3_dnf(inf.conclusions)
-    witness = product_witness(inf, connector, LP, K3, decide=antivalid)
-    return TsMinusProduct(True, witness.connector, witness.left_check, witness.right_check)
+    return st_connecting_formula(invert(inf))
 
 
 def sum_equals_antitheorems_plus_theorems(logic_left, logic_right, inf: Inference) -> bool:

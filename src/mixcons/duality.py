@@ -7,14 +7,20 @@ Combining the operational map with inference inversion interdefines all
 eight validity/antivalidity sets; the identities are realized here as
 per-inference membership tests (the sets themselves are infinite but
 pointwise decidable).
+
+A route is named by its identity, X=~Y or X=product/sum, and is read off
+it: an X=~Y route decides Y on the pointwise operational dual; the others
+call the one procedure for X.  By inversion, Gamma => Delta is in TS-
+exactly when Delta => Gamma is in ST+, so the TS- product is the ST
+product of the inverted inference.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .formula import And, Bot, Formula, Inference, Lambda, Not, Or, Top, Var, BOT, TOP
-from .consequence import K3, LP, ST, STANDARDS, TS, antivalid, valid
+from .formula import And, Bot, Formula, Inference, Not, Or, Top, Var, BOT, TOP, invert
+from .consequence import STANDARDS, antivalid, valid
 from .decomposition import (
     ProductWitness,
     st_connecting_formula,
@@ -28,20 +34,41 @@ class UnknownRouteError(ValueError):
     pass
 
 
+_LEAF_DUAL = {Top: BOT, Bot: TOP}  # every other leaf is its own dual
+
+
 def op_dual(f: Formula) -> Formula:
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, Top):
-        return BOT
-    if isinstance(f, Bot):
-        return TOP
-    if isinstance(f, Lambda):
-        return f
-    if isinstance(f, Not):
-        return Not(op_dual(f.sub))
-    if isinstance(f, And):
-        return Or(op_dual(f.left), op_dual(f.right))
-    return And(op_dual(f.left), op_dual(f.right))
+    """`f` with & and | swapped and T and F swapped, without recursion: above
+    each node's operands `todo` holds its dual's class, which rebuilds it from
+    the mapped operands on `done`.  A variable operand goes to `done` at once,
+    which saves a step per leaf."""
+    done: list[Formula] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is And or kind is Or:
+            dual, left, right = Or if kind is And else And, g.left, g.right
+            if type(left) is not Var:
+                todo += (dual, right, left)
+            elif type(right) is Var:
+                done.append(dual(left, right))
+            else:
+                done.append(left)
+                todo += (dual, right)
+        elif kind is Var:
+            done.append(g)
+        elif kind is type:
+            if g is Not:
+                done.append(Not(done.pop()))
+            else:
+                right = done.pop()
+                done.append(g(done.pop(), right))
+        elif kind is Not:
+            todo += (Not, g.sub)
+        else:
+            done.append(_LEAF_DUAL.get(kind, g))
+    return done.pop()
 
 
 def op_dual_sides(inf: Inference) -> Inference:
@@ -54,10 +81,7 @@ def op_dual_sides(inf: Inference) -> Inference:
 
 def op_dual_inference(inf: Inference) -> Inference:
     """The operational dual inference: map both sides pointwise, then swap."""
-    return Inference(
-        tuple(op_dual(f) for f in inf.conclusions),
-        tuple(op_dual(f) for f in inf.premises),
-    )
+    return invert(op_dual_sides(inf))
 
 
 def neg_dual_inference(inf: Inference) -> Inference:
@@ -68,10 +92,6 @@ def neg_dual_inference(inf: Inference) -> Inference:
     )
 
 
-def invert(inf: Inference) -> Inference:
-    return Inference(inf.conclusions, inf.premises)
-
-
 def direct_membership(target: str, inf: Inference) -> bool:
     """Membership in one of the eight validity/antivalidity sets, directly."""
     logic = STANDARDS[target[:-1]]
@@ -80,37 +100,30 @@ def direct_membership(target: str, inf: Inference) -> bool:
     return antivalid(logic, inf).valid
 
 
-def _st_product(inf: Inference) -> bool:
-    return isinstance(st_connecting_formula(inf), ProductWitness)
-
-
-# A route is named by its identity; the set before the "=" is the one it
-# defines.  Each route rewrites the query through the operational map
-# and/or inversion, then delegates to the decision procedure for the
-# identity's right-hand side.  The simple ~ routes use that inf is in ~X
-# exactly when its pointwise dual is in X; the product/sum routes use that
-# ~ turns each antivalidity set into the matching validity set, reducing to
-# the canonical product/sum procedures.
-_ROUTES: dict[str, Callable[[Inference], bool]] = {
-    "K3+=~LP-": lambda inf: antivalid(LP, op_dual_sides(inf)).valid,
-    "LP+=~K3-": lambda inf: antivalid(K3, op_dual_sides(inf)).valid,
-    "ST+=~TS-": lambda inf: antivalid(TS, op_dual_sides(inf)).valid,
-    "TS+=~ST-": lambda inf: antivalid(ST, op_dual_sides(inf)).valid,
-    "K3-=~LP+": lambda inf: valid(LP, op_dual_sides(inf)).valid,
-    "LP-=~K3+": lambda inf: valid(K3, op_dual_sides(inf)).valid,
-    "ST-=~TS+": lambda inf: valid(TS, op_dual_sides(inf)).valid,
-    "TS-=~ST+": lambda inf: valid(ST, op_dual_sides(inf)).valid,
-    "ST+=K3+|~K3-": _st_product,
-    "ST+=~LP-|LP+": _st_product,
-    "TS+=~K3-+K3+": lambda inf: ts_sum_decision(inf).member,
-    "TS+=LP++~LP-": lambda inf: ts_sum_decision(inf).member,
-    "ST-=K3-+~K3+": st_minus_sum_decision,
-    "ST-=~LP++LP-": st_minus_sum_decision,
-    "TS-=~K3+|K3-": lambda inf: ts_minus_product_decision(inf).member,
-    "TS-=LP-|~LP+": lambda inf: ts_minus_product_decision(inf).member,
+# The procedure for each set that a product or sum route defines.
+_PRODUCT_OR_SUM: dict[str, Callable[[Inference], bool]] = {
+    "ST+": lambda inf: isinstance(st_connecting_formula(inf), ProductWitness),
+    "TS+": lambda inf: ts_sum_decision(inf).member,
+    "ST-": st_minus_sum_decision,
+    "TS-": lambda inf: isinstance(ts_minus_product_decision(inf), ProductWitness),
 }
 
-ROUTES = tuple(_ROUTES)
+ROUTES = (
+    "K3+=~LP-", "LP+=~K3-", "ST+=~TS-", "TS+=~ST-", "K3-=~LP+", "LP-=~K3+", "ST-=~TS+", "TS-=~ST+",
+    "ST+=K3+|~K3-", "ST+=~LP-|LP+", "TS+=~K3-+K3+", "TS+=LP++~LP-",
+    "ST-=K3-+~K3+", "ST-=~LP++LP-", "TS-=~K3+|K3-", "TS-=LP-|~LP+",
+)
+
+
+def _route(identity: str) -> Callable[[Inference], bool]:
+    target, rhs = identity.split("=")
+    if len(rhs) == 4:  # ~Y: inf is in X exactly when its pointwise dual is in Y
+        dual_target = rhs[1:]
+        return lambda inf: direct_membership(dual_target, op_dual_sides(inf))
+    return _PRODUCT_OR_SUM[target]
+
+
+_ROUTES = {identity: _route(identity) for identity in ROUTES}
 
 
 def dual_set_membership(target: str, inf: Inference, route: str) -> bool:

@@ -276,6 +276,17 @@ class Inference(HashableRecord):
         return self._atoms - CONSTANT_ATOMS
 
 
+def invert(inf: Inference) -> Inference:
+    """Delta => Gamma from Gamma => Delta.  Each side is already sorted and
+    duplicate-free, so the sides, their texts and the atoms are swapped, not
+    normalised again; the result equals `Inference(inf.conclusions, inf.premises)`."""
+    premise_texts, conclusion_texts = inf._texts
+    inverse = Inference.__new__(Inference)
+    inverse.__dict__.update(premises=inf.conclusions, conclusions=inf.premises,
+                            _texts=(conclusion_texts, premise_texts), _atoms=inf._atoms)
+    return inverse
+
+
 def print_sequent(inf: Inference) -> str:
     left, right = (", ".join(texts) for texts in inf._texts)
     return " ".join(filter(None, (left, "=>", right)))

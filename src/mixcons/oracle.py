@@ -23,6 +23,7 @@ from .formula import (
     _set,
     atoms,
     conjoin,
+    invert,
     parse_formula,
     print_formula,
     print_sequent,
@@ -50,7 +51,7 @@ from .decomposition import (
     sum_equals_antitheorems_plus_theorems,
     ts_sum_decision,
 )
-from .duality import invert, op_dual_inference
+from .duality import op_dual_inference
 from .randgen import (
     random_formula,
     random_formula_set,

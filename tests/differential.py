@@ -12,6 +12,8 @@ it records:
 - all eight (logic, mode) verdicts, with each countermodel's values in the
   valuation's own key order;
 - the st-product, lpk3-product and ts-sum results;
+- the answer of each of the 16 `dual_set_membership` routes, one kind per
+  route (kinds `route K3+=~LP-` ...);
 - the Milne interpolant, for sequents with one premise and one conclusion;
 - the `--json` truthtable rows of each side formula, for n <= 4.
 
@@ -49,6 +51,7 @@ from mixcons.decomposition import (
     st_connecting_formula,
     ts_sum_decision,
 )
+from mixcons.duality import ROUTES, dual_set_membership
 from mixcons.formula import Formula, parse_sequent, print_formula
 
 MAX_VARS = 12
@@ -155,6 +158,10 @@ def answers(text: str):
         ("lpk3-product", lambda: _product(lp_k3_connector_lambda_free(inf))),
         ("ts-sum", lambda: _ts_sum(ts_sum_decision(inf))),
     ]
+    calls += [
+        (f"route {route}", lambda route=route: dual_set_membership(route.split("=", 1)[0], inf, route))
+        for route in ROUTES
+    ]
     if len(inf.premises) == len(inf.conclusions) == 1:
         calls.append(("milne", lambda: _milne(milne_interpolant(inf.premises[0], inf.conclusions[0]))))
     if len(inf.variables()) <= 4:
@@ -196,7 +203,7 @@ def main() -> None:
             if args.entries:
                 print(hashlib.sha256(record).hexdigest(), kind)
     for kind in sorted(counts):
-        print(f"{kind:16} {counts[kind]}")
+        print(f"{kind:18} {counts[kind]}")
     for (kind, name), count in sorted(raised.items()):
         print(f"raised {kind} {name} {count}")
     print(f"total {sum(counts.values())} answers, sha256 {digest.hexdigest()}")

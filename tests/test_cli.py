@@ -297,10 +297,10 @@ class TestContract:
 
 
 class TestDeepInput:
-    """Deep input gets its answer with no traceback: the parser, the evaluator
-    and the printer keep their own stacks, and parentheses alone leave no
-    node.  The operational dual still recurses, so there deep input is a
-    usage error."""
+    """Deep input gets its answer with no traceback: the parser, the evaluator,
+    the printer and the operational dual keep their own stacks, and
+    parentheses alone leave no node.  The oracle's random formulas still
+    recurse, so there a deep request is a usage error."""
 
     SRC = os.path.dirname(os.path.dirname(mixcons.__file__))
 
@@ -327,8 +327,13 @@ class TestDeepInput:
         assert "Traceback" not in done.stderr
         assert (done.stdout.strip(), done.stderr.strip()) == (stdout, stderr)
 
-    def test_recursive_dual_is_a_usage_error(self):
+    def test_deep_dual_is_answered(self):
         done = self._run("dualize", "--map", "op", "~" * 5000 + "p")
+        assert done.returncode == 0
+        assert (done.stdout, done.stderr) == ("~" * 5000 + "p\n", "")
+
+    def test_recursive_oracle_is_a_usage_error(self):
+        done = self._run("oracle", "--max-depth", "3000", "--samples", "1")
         assert done.returncode == 2
         assert (done.stdout, done.stderr.strip()) == ("", "input nested too deeply")
 

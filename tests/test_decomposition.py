@@ -383,23 +383,36 @@ class TestAntivalidityDecompositions:
         assert not st_minus_sum_decision(parse_sequent("F => T"))
 
     def test_ts_minus_member_with_connector(self):
-        result = ts_minus_product_decision(parse_sequent("p & (q | ~q) => p | (q & ~q)"))
-        assert result.member
+        inf = parse_sequent("p & (q | ~q) => p | (q & ~q)")
+        result = ts_minus_product_decision(inf)
+        assert isinstance(result, ProductWitness)
         assert brute_equivalent(result.connector, PRINTED_CONNECTOR)
+        # The ST witness of the inverse: K3+ of Delta => C, then LP+ of C => Gamma.
+        assert result.left_check == valid(K3, Inference(inf.conclusions, (result.connector,)))
+        assert result.right_check == valid(LP, Inference((result.connector,), inf.premises))
         assert result.left_check.valid and result.right_check.valid
 
     def test_ts_minus_non_members(self):
-        assert not ts_minus_product_decision(parse_sequent("p & ~p => p | ~p")).member
-        assert not ts_minus_product_decision(parse_sequent("F => T")).member
+        for text in ("p & ~p => p | ~p", "F => T", "r, q => p"):
+            inf = parse_sequent(text)
+            result = ts_minus_product_decision(inf)
+            assert isinstance(result, DecompositionFailure)
+            expected = antivalid(TS, inf).countermodel
+            assert result.countermodel == expected
+            assert list(result.countermodel.assignments) == list(expected.assignments)
 
     @given(inferences)
     def test_ts_minus_matches_antivalidity(self, inf):
         result = ts_minus_product_decision(inf)
-        assert result.member == antivalid(TS, inf).valid
-        if result.member:
+        verdict = antivalid(TS, inf)
+        assert isinstance(result, ProductWitness) == verdict.valid
+        if isinstance(result, ProductWitness):
             connector = result.connector
             assert antivalid(LP, Inference(inf.premises, (connector,))).valid
             assert antivalid(K3, Inference((connector,), inf.conclusions)).valid
+        else:
+            assert result.countermodel == verdict.countermodel
+            assert list(result.countermodel.assignments) == list(verdict.countermodel.assignments)
 
     @given(inferences)
     def test_st_minus_matches_antivalidity(self, inf):

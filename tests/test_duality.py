@@ -2,7 +2,19 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from mixcons.formula import Inference, Not, parse_formula, parse_sequent, print_sequent
+import mixcons
+from mixcons import formula
+from mixcons.formula import (
+    And,
+    Inference,
+    Not,
+    Or,
+    Var,
+    parse_formula,
+    parse_sequent,
+    print_formula,
+    print_sequent,
+)
 from mixcons.consequence import K3, LP, ST, TS, STANDARDS, antivalid, valid
 from mixcons.duality import (
     ROUTES,
@@ -31,6 +43,13 @@ class TestOperationalDual:
     @given(formulas)
     def test_involutive(self, f):
         assert op_dual(op_dual(f)) == f
+
+    def test_deep_formulas_without_recursion(self):
+        left = right = Var("p0")
+        for i in range(1, 20000):
+            left, right = And(left, Not(Var(f"p{i}"))), Or(Var(f"p{i}"), Not(right))
+        for f in (left, right):
+            assert print_formula(op_dual(f)) == print_formula(f).translate(str.maketrans("&|", "|&"))
 
     def test_inference_map_swaps_sides(self):
         assert op_dual_inference(parse_sequent("p & q => r")) == parse_sequent("r => p | q")
@@ -79,6 +98,19 @@ class TestInvert:
     @given(inferences)
     def test_involutive(self, inf):
         assert invert(invert(inf)) == inf
+
+    @given(inferences)
+    def test_agrees_with_the_normalising_constructor(self, inf):
+        inverse, built = invert(inf), Inference(inf.conclusions, inf.premises)
+        assert inverse == built
+        assert hash(inverse) == hash(built)
+        assert repr(inverse) == repr(built)
+        assert print_sequent(inverse) == print_sequent(built)
+        assert inverse.atoms() == built.atoms()
+        assert inverse.variables() == built.variables()
+
+    def test_home_and_reexports(self):
+        assert mixcons.invert is invert is formula.invert
 
 
 class TestOperationalDualityPropositions:
