@@ -17,6 +17,14 @@ ST-antivalidity are closed under moving values to 1/2: each chunk of up to
 16 sorted variables (the most whose 2^k valuations fit in a block of
 2^BLOCK bits) is one {0,1/2} block, with earlier chunks fixed and later
 ones 1/2, and its lowest hit fixes it; none in the first chunk means valid.
+
+The one search is the private `_decide(logic, premises, conclusions, domain,
+anti)` over formula tuples and a domain of atoms (the constants in it are
+ignored).  `valid` and `antivalid` pass an inference's sides and atoms;
+callers that hold plain formula tuples (theoremhood, the product checks,
+the duality routes) pass the tuples and `atoms_of_set` of them, and build
+no `Inference`.  It stays private, so that perfbench's tracer, which wraps
+public functions, counts only `valid`/`antivalid` as decisions.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import semantics
-from .formula import Formula, HashableRecord, Inference, Record, _set, print_sequent
+from .formula import CONSTANT_ATOMS, Atom, Formula, HashableRecord, Inference, Record, _set, atoms_of_set, print_sequent
 from .semantics import (
     HALF,
     ONE,
@@ -82,18 +90,18 @@ def _hits(block, sides) -> int:
     return hits
 
 
-def _block_walk(sides, inf: Inference, values: tuple[TruthValue, ...]) -> Verdict:
+def _block_walk(sides, domain: Iterable[Atom], values: tuple[TruthValue, ...]) -> Verdict:
     """First countermodel into `values`, a block of valuations at a time."""
-    for block in rail_blocks(inf.atoms(), values):
+    for block in rail_blocks(domain, values):
         hits = _hits(block, sides)
         if hits:
             return Verdict(False, block.valuation((hits & -hits).bit_length() - 1))
     return Verdict(True)
 
 
-def _chunk_walk(sides, inf: Inference) -> Verdict:
+def _chunk_walk(sides, domain: Iterable[Atom]) -> Verdict:
     """First countermodel, one {0,1/2} block per chunk (module docstring)."""
-    names = sorted(inf.variables())
+    names = sorted(set(domain) - CONSTANT_ATOMS)
     countermodel = Valuation(dict.fromkeys(names, HALF))
     # read per call, so that a patched BLOCK is seen; a chunk holds at least one variable
     chunk = max(1, semantics.block_width(2, semantics.BLOCK))
@@ -106,42 +114,47 @@ def _chunk_walk(sides, inf: Inference) -> Verdict:
     return Verdict(False, countermodel)
 
 
-def _sides(logic: LogicStandard, inf: Inference, anti: bool) -> list:
+def _sides(logic: LogicStandard, premises: tuple[Formula, ...], conclusions: tuple[Formula, ...],
+           anti: bool) -> list:
     """(formula, rail) per side formula: where it must be designated, rail 0
     (>= 1/2) if tolerant and rail 1 (= 1) if strict; where it must not be,
     that rail ^ 3, the other rail of its negation (f < 1/2 is ~f = 1, rail 3;
     f < 1 is ~f >= 1/2, rail 2)."""
     premise_rail = 0 if HALF in logic.premise_designated else 1
     conclusion_rail = 0 if HALF in logic.conclusion_designated else 1
-    sides = [(g, premise_rail ^ 3 if anti else premise_rail) for g in inf.premises]
-    return sides + [(d, conclusion_rail if anti else conclusion_rail ^ 3) for d in inf.conclusions]
+    sides = [(g, premise_rail ^ 3 if anti else premise_rail) for g in premises]
+    return sides + [(d, conclusion_rail if anti else conclusion_rail ^ 3) for d in conclusions]
 
 
-def _first_countermodel(logic: LogicStandard, inf: Inference, anti: bool) -> Verdict:
-    """The search the module docstring describes, for validity or antivalidity."""
+def _decide(logic: LogicStandard, premises: tuple[Formula, ...], conclusions: tuple[Formula, ...],
+            domain: Iterable[Atom], anti: bool) -> Verdict:
+    """The search the module docstring describes, for validity or antivalidity
+    of premises => conclusions, over the variables of `domain`."""
     half_in_premises = (HALF in logic.premise_designated) != anti
     half_in_conclusions = (HALF in logic.conclusion_designated) == anti
-    sides = _sides(logic, inf, anti)
+    sides = _sides(logic, premises, conclusions, anti)
     if half_in_premises and half_in_conclusions:
-        return _chunk_walk(sides, inf)
+        return _chunk_walk(sides, domain)
     space = VALUE_ORDER if half_in_premises or half_in_conclusions else (ZERO, ONE)
-    return _block_walk(sides, inf, space)
+    return _block_walk(sides, domain, space)
 
 
 def valid(logic: LogicStandard, inf: Inference) -> Verdict:
-    return _first_countermodel(logic, inf, anti=False)
+    return _decide(logic, inf.premises, inf.conclusions, inf.atoms(), False)
 
 
 def antivalid(logic: LogicStandard, inf: Inference) -> Verdict:
-    return _first_countermodel(logic, inf, anti=True)
+    return _decide(logic, inf.premises, inf.conclusions, inf.atoms(), True)
 
 
 def is_antitheorem(logic: LogicStandard, gamma: Iterable[Formula]) -> bool:
-    return valid(logic, Inference(gamma, ())).valid
+    gamma = tuple(gamma)
+    return _decide(logic, gamma, (), atoms_of_set(gamma), False).valid
 
 
 def is_theorem(logic: LogicStandard, delta: Iterable[Formula]) -> bool:
-    return valid(logic, Inference((), delta)).valid
+    delta = tuple(delta)
+    return _decide(logic, (), delta, atoms_of_set(delta), False).valid
 
 
 def classically_valid(inf: Inference) -> bool:
@@ -150,7 +163,7 @@ def classically_valid(inf: Inference) -> bool:
     Meaningful on the lambda-free fragment, where it coincides with
     ST-validity.
     """
-    return _block_walk(_sides(K3, inf, False), inf, (ZERO, ONE)).valid
+    return _block_walk(_sides(K3, inf.premises, inf.conclusions, False), inf.atoms(), (ZERO, ONE)).valid
 
 
 def verdict_record(logic: LogicStandard, inf: Inference, verdict: Verdict, anti: bool = False) -> dict:

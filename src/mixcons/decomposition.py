@@ -58,8 +58,8 @@ from .consequence import (
     TS,
     LogicStandard,
     Verdict,
+    _decide,
     antivalid,
-    classically_valid,
     is_antitheorem,
     is_theorem,
     valid,
@@ -130,9 +130,10 @@ class TsSumDecision(Record):
         _set(self, "reason", reason)
 
 
-def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> list[Formula]:
+def _strict_dnf(gamma: tuple[Formula, ...], domain: Iterable[str], literal_atoms: Iterable[str]) -> list[Formula]:
     """One conjunction of classical literals over `literal_atoms` per valuation
-    making every member of gamma 1, in enumeration order, duplicates removed.
+    of `domain`, the atoms of gamma, making every member of gamma 1, in
+    enumeration order, duplicates removed.
 
     In sorted order, an atom the valuation makes 1 is a literal `p`, one it
     makes 0 is `~p`, and one at 1/2 is left out.  Each strict position is
@@ -141,7 +142,7 @@ def _strict_dnf(gamma: tuple[Formula, ...], literal_atoms: Iterable[str]) -> lis
     literal_atoms = sorted(literal_atoms)
     literals = [(Not(f), None, f) for f in map(atom_to_formula, literal_atoms)]  # indexed by value
     keys: dict[tuple[int, ...], None] = {}
-    for block in rail_blocks(atoms_of_set(gamma)):
+    for block in rail_blocks(domain):
         strict = block.full
         for g in gamma:
             strict &= block.rail(g, 1)  # the "= 1" rail
@@ -169,16 +170,21 @@ def k3_dnf(gamma: Iterable[Formula]) -> Formula:
     gamma = tuple(gamma)
     if not gamma:
         raise PreconditionError("gamma must be nonempty")
-    return disjoin(_strict_dnf(gamma, atoms_of_set(gamma)))
+    domain = atoms_of_set(gamma)
+    return disjoin(_strict_dnf(gamma, domain, domain))
 
 
 def product_witness(
     inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard
 ) -> ProductWitness:
     """`connector` with the checks `valid(left, premises => connector)` and
-    `valid(right, connector => conclusions)`, both of which must hold."""
-    left_check = valid(left, Inference(inf.premises, (connector,)))
-    right_check = valid(right, Inference((connector,), inf.conclusions))
+    `valid(right, connector => conclusions)`, both of which must hold.  Each
+    is decided on the formula tuples over the atoms of its two sides, so the
+    connector is walked once and never printed unless a check fails."""
+    connector_atoms = atoms_of_set((connector,))
+    premises, conclusions = inf.premises, inf.conclusions
+    left_check = _decide(left, premises, (connector,), atoms_of_set(premises) | connector_atoms, False)
+    right_check = _decide(right, (connector,), conclusions, connector_atoms | atoms_of_set(conclusions), False)
     if not (left_check.valid and right_check.valid):
         raise RuntimeError(
             f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}"
@@ -287,17 +293,18 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
     no remaining literals becomes T.  The result is K3-entailed by `phi`
     and LP-entails `psi`.
     """
-    inf = Inference((phi,), (psi,))
-    if LAM_ATOM in inf.atoms():
+    phi_atoms, psi_atoms = atoms(phi), atoms(psi)
+    if LAM_ATOM in phi_atoms | psi_atoms:
         return MilneFailure("lambda-present")
-    if not classically_valid(inf):
+    # Without lambda, classical validity is ST-validity, which walks only {0,1}^n.
+    if not _decide(ST, (phi,), (psi,), phi_atoms | psi_atoms, False).valid:
         return MilneFailure("invalid-inference")
-    if classically_valid(Inference((), (Not(phi),))):
+    if _decide(ST, (), (Not(phi),), phi_atoms, False).valid:
         return MilneFailure("contradiction")
-    if classically_valid(Inference((), (psi,))):
+    if _decide(ST, (), (psi,), psi_atoms, False).valid:
         return MilneFailure("tautology")
 
-    disjuncts = _strict_dnf((phi,), atoms(phi) & atoms(psi))
+    disjuncts = _strict_dnf((phi,), phi_atoms, phi_atoms & psi_atoms)
     if not disjuncts:
         raise RuntimeError(f"classically satisfiable premise {print_formula(phi)} has no strict valuation")
     return disjoin(disjuncts)

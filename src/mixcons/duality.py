@@ -13,6 +13,15 @@ it: an X=~Y route decides Y on the pointwise operational dual; the others
 call the one procedure for X.  By inversion, Gamma => Delta is in TS-
 exactly when Delta => Gamma is in ST+, so the TS- product is the ST
 product of the inverted inference.
+
+The X=~Y routes build no dual.  Let v' be v with each variable's value
+x replaced by 1 - x.  Then `op_dual(f)` at v is `~f` at v', since the
+complement swaps min with max and 1 with 0 and fixes 1/2; and v -> v' is
+a bijection of the valuations.  So Y holds of `op_dual_sides(inf)`
+exactly when it holds of ~Gamma => ~Delta, each formula wrapped in `Not`
+and the sides not swapped, over the same variables; the rails read a `~`
+at no cost.  The countermodels of the two differ (one is the other's v'),
+so a route returns only the membership bit.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .formula import And, Bot, Formula, Inference, Not, Or, Top, Var, BOT, TOP, invert
-from .consequence import STANDARDS, antivalid, valid
+from .consequence import STANDARDS, _decide, antivalid, valid
 from .decomposition import (
     ProductWitness,
     st_connecting_formula,
@@ -117,9 +126,10 @@ ROUTES = (
 
 def _route(identity: str) -> Callable[[Inference], bool]:
     target, rhs = identity.split("=")
-    if len(rhs) == 4:  # ~Y: inf is in X exactly when its pointwise dual is in Y
-        dual_target = rhs[1:]
-        return lambda inf: direct_membership(dual_target, op_dual_sides(inf))
+    if len(rhs) == 4:  # ~Y: inf is in X exactly when ~Gamma => ~Delta is in Y (module docstring)
+        logic, anti = STANDARDS[rhs[1:3]], rhs[3] == "-"
+        return lambda inf: _decide(logic, tuple(map(Not, inf.premises)), tuple(map(Not, inf.conclusions)),
+                                   inf.atoms(), anti).valid
     return _PRODUCT_OR_SUM[target]
 
 

@@ -8,8 +8,9 @@ Precedence is ``~`` > ``&`` > ``|``; both binary operators associate left.
 
 The tokenizer is one `findall`; the parser is one loop with its own stack,
 and a parse error is placed in the text only once it has happened.  The
-printer `_text` is one loop with its own stack too, and `atoms` reads the
-atoms off its walk, so neither has a nesting limit.
+printer `_text` is one loop with its own stack too, and reads an
+inference's atoms off its walk; `atoms_of_set` walks without printing.
+None of them has a nesting limit.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ BOT_ATOM: Atom = "F"
 LAM_ATOM: Atom = "L"
 _CONSTANTS: dict[Atom, Formula] = {TOP_ATOM: TOP, BOT_ATOM: BOT, LAM_ATOM: LAM}
 CONSTANT_ATOMS = frozenset(_CONSTANTS)
+_CONSTANT_TEXT = {type(f): atom for atom, f in _CONSTANTS.items()}
 
 
 def atom_to_formula(atom: Atom) -> Formula:
@@ -134,9 +136,27 @@ def atoms(f: Formula) -> frozenset[Atom]:
 
 
 def atoms_of_set(formulas: Iterable[Formula]) -> frozenset[Atom]:
+    """The atoms of every formula, from one walk with its own stack that
+    prints nothing.  A variable right operand, the leaf of a left-associated
+    chain, is read at once rather than pushed."""
     found: set[Atom] = set()
-    for f in formulas:
-        _text(f, found)
+    todo = list(formulas)
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is Var:
+            found.add(g.name)
+        elif kind is Not:
+            todo.append(g.sub)
+        elif kind is And or kind is Or:
+            right = g.right
+            if type(right) is Var:
+                found.add(right.name)
+            else:
+                todo.append(right)
+            todo.append(g.left)
+        else:
+            found.add(_CONSTANT_TEXT[kind])
     return frozenset(found)
 
 
@@ -173,7 +193,6 @@ def disjoin(formulas: Iterable[Formula]) -> Formula:
 # printing
 
 _PREC = {Or: 1, And: 2, Not: 3}  # anything else binds tightest: 4
-_CONSTANT_TEXT = {type(f): atom for atom, f in _CONSTANTS.items()}
 
 
 def _text(f: Formula, found: set[Atom]) -> str:

@@ -11,7 +11,10 @@ it records:
 
 - all eight (logic, mode) verdicts, with each countermodel's values in the
   valuation's own key order;
-- the st-product, lpk3-product and ts-sum results;
+- for each logic, `is_antitheorem` of the premises and `is_theorem` of the
+  conclusions, and `classically_valid` of the sequent;
+- the st-product, lpk3-product, universal lambda lpk3-product, ts-minus
+  product and ts-sum results;
 - the answer of each of the 16 `dual_set_membership` routes, one kind per
   route (kinds `route K3+=~LP-` ...);
 - the Milne interpolant, for sequents with one premise and one conclusion;
@@ -42,13 +45,15 @@ import json
 import random
 
 from mixcons import cli
-from mixcons.consequence import STANDARDS, antivalid, valid
+from mixcons.consequence import STANDARDS, antivalid, classically_valid, is_antitheorem, is_theorem, valid
 from mixcons.decomposition import (
     DecompositionFailure,
     MilneFailure,
     lp_k3_connector_lambda_free,
+    lp_k3_product_universal_witness,
     milne_interpolant,
     st_connecting_formula,
+    ts_minus_product_decision,
     ts_sum_decision,
 )
 from mixcons.duality import ROUTES, dual_set_membership
@@ -154,8 +159,17 @@ def answers(text: str):
         for mode in (valid, antivalid)
     ]
     calls += [
+        (f"{name} {kind}", lambda decide=decide, logic=logic, side=side: decide(logic, side))
+        for name, logic in sorted(STANDARDS.items())
+        for kind, decide, side in (("is_antitheorem", is_antitheorem, inf.premises),
+                                   ("is_theorem", is_theorem, inf.conclusions))
+    ]
+    calls += [
+        ("classically-valid", lambda: classically_valid(inf)),
         ("st-product", lambda: _product(st_connecting_formula(inf))),
         ("lpk3-product", lambda: _product(lp_k3_connector_lambda_free(inf))),
+        ("lpk3-universal", lambda: _product(lp_k3_product_universal_witness(inf))),
+        ("ts-minus-product", lambda: _product(ts_minus_product_decision(inf))),
         ("ts-sum", lambda: _ts_sum(ts_sum_decision(inf))),
     ]
     calls += [

@@ -2,7 +2,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from mixcons import decomposition, semantics
@@ -102,6 +102,29 @@ class TestProductWitness:
     def test_failed_check_names_the_connector(self):
         with pytest.raises(RuntimeError, match="connector q fails a component check of p => p"):
             product_witness(parse_sequent("p => p"), Var("q"), K3, LP)
+
+
+    @given(inferences)
+    def test_checks_equal_validity(self, inf):
+        """Each check is `valid` of the inference it stands for, countermodel
+        field included: the ST product's K3 then LP, the lambda witness's LP then K3."""
+        for outcome, left, right in ((st_connecting_formula(inf), K3, LP),
+                                     (lp_k3_product_universal_witness(inf), LP, K3)):
+            if isinstance(outcome, ProductWitness):
+                connector = outcome.connector
+                assert outcome.left_check == valid(left, Inference(inf.premises, (connector,)))
+                assert outcome.right_check == valid(right, Inference((connector,), inf.conclusions))
+
+    @given(lambda_free_inferences)
+    @example(parse_sequent("F & p => q"))  # connector F
+    @example(parse_sequent("p => q | T"))  # connector T
+    @example(MIXED_EXAMPLE)  # a conjunction
+    def test_lambda_free_checks_equal_validity(self, inf):
+        outcome = lp_k3_connector_lambda_free(inf)
+        if isinstance(outcome, ProductWitness):
+            connector = outcome.connector
+            assert outcome.left_check == valid(LP, Inference(inf.premises, (connector,)))
+            assert outcome.right_check == valid(K3, Inference((connector,), inf.conclusions))
 
 
 class TestStProduct:
@@ -264,7 +287,7 @@ class TestMilne:
         assert outcome.reason == "lambda-present"
 
     def test_missing_strict_valuation_names_the_premise(self, monkeypatch):
-        monkeypatch.setattr(decomposition, "_strict_dnf", lambda gamma, literal_atoms: [])
+        monkeypatch.setattr(decomposition, "_strict_dnf", lambda gamma, domain, literal_atoms: [])
         with pytest.raises(RuntimeError, match=r"premise p & q has no strict valuation"):
             milne_interpolant(parse_formula("p & q"), Var("p"))
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 import mixcons
@@ -28,7 +28,8 @@ from mixcons.duality import (
     op_dual_sides,
 )
 
-from conftest import formulas, inferences
+from conftest import formulas, inferences, variable_names
+import oracles
 
 
 class TestOperationalDual:
@@ -161,6 +162,30 @@ class TestRoutes:
         for route in ROUTES:
             target = route.split("=", 1)[0]
             assert dual_set_membership(target, inf, route) == direct_membership(target, inf)
+
+
+class TestNegatedSidesRoutes:
+    """An X=~Y route decides Y on ~Gamma => ~Delta instead of building the
+    pointwise dual: op_dual(f) at v is ~f at v with each value x made 1 - x."""
+
+    DUAL_ROUTES = [route for route in ROUTES if len(route.split("=")[1]) == 4]
+
+    def test_eight_routes(self):
+        assert len(self.DUAL_ROUTES) == 8
+
+    @given(inferences)
+    @example(parse_sequent("T, p => F | L"))
+    @example(parse_sequent("L => T & ~F"))
+    @example(parse_sequent("F => L"))
+    def test_equal_their_definition(self, inf):
+        for route in self.DUAL_ROUTES:
+            target, rhs = route.split("=")
+            assert dual_set_membership(target, inf, route) == direct_membership(rhs[1:], op_dual_sides(inf))
+
+    @given(formulas, st.dictionaries(variable_names, st.sampled_from(oracles.VALUES), min_size=3))
+    def test_op_dual_is_negation_at_the_complement(self, f, env):
+        complement = {name: 1 - value for name, value in env.items()}
+        assert oracles.brute_eval(op_dual(f), env) == 1 - oracles.brute_eval(f, complement)
 
 
 class TestNImageGap:

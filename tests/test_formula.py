@@ -236,6 +236,16 @@ class TestAtoms:
     def test_negation_invariance(self, f):
         assert atoms(Not(f)) == atoms(f)
 
+    @given(st.lists(formulas, max_size=4))
+    def test_atoms_of_set_equals_the_printers_atoms(self, fs):
+        assert atoms_of_set(fs) == Inference(fs, ()).atoms()
+
+    def test_atoms_of_set_on_a_deep_chain(self):
+        f = LAM
+        for i in range(20_000):
+            f = (Not(f), And(f, Var(f"p{i % 7}")), Or(BOT, f), And(TOP, f))[i % 4]
+        assert atoms_of_set((f,)) == Inference((f,), ()).atoms() == {"L", "F", "T", *(f"p{i}" for i in range(7))}
+
 
 class TestFreshVariable:
     def test_first_unused(self):
