@@ -2,13 +2,15 @@
 
 ST-validity is witnessed by a single connecting formula: the K3
 disjunctive normal form of the conjoined premises, which the premises
-K3-entail and which LP-entails the conclusions.  `product_witness` runs
-and checks the two component decisions of every product.  TS-validity holds
-exactly when some premise is constantly false or some conclusion
-constantly true; when it fails, a fresh pivot variable refutes membership
-in the relative sum.  On the lambda-free fragment the product also works
-with LP on the left and K3 on the right; with lambda available, that
-product is universal.
+K3-entail and which LP-entails the conclusions.  Its two rails are a
+closure of the premises' strict set (`_dnf_rails`), so both component
+checks of the ST product are bit tests and a membership bit builds no
+formula; `product_witness` runs the two component decisions of the other
+connectors.  TS-validity holds exactly when some premise is constantly
+false or some conclusion constantly true; when it fails, a fresh pivot
+variable refutes membership in the relative sum.  On the lambda-free
+fragment the product also works with LP on the left and K3 on the right;
+with lambda available, that product is universal.
 
 The TS- product follows by inversion: Gamma => Delta is TS-antivalid
 exactly when Delta => Gamma is ST-valid, so `ts_minus_product_decision` is
@@ -47,6 +49,7 @@ from .semantics import (
     HALF,
     ONE,
     ZERO,
+    RailBlock,
     Valuation,
     _rail_block,
     rail_blocks,
@@ -59,6 +62,7 @@ from .consequence import (
     LogicStandard,
     Verdict,
     _decide,
+    _hits,
     antivalid,
     is_antitheorem,
     is_theorem,
@@ -174,13 +178,76 @@ def k3_dnf(gamma: Iterable[Formula]) -> Formula:
     return disjoin(_strict_dnf(gamma, domain, domain))
 
 
+def _dnf_rails(gamma: tuple[Formula, ...], blocks: list[RailBlock], strict: list[int]) -> list[list[int]]:
+    """Rail 0 (>= 1/2) and rail 1 (= 1) of `k3_dnf(gamma)` (T for no gamma)
+    on each of `blocks`, the walk of `rail_blocks` over a domain, from
+    gamma's strict set on each: the positions where every member is 1.
+
+    A disjunct holds the literals of one strict valuation w, so the connector
+    is 1 at v exactly when some w agrees with v wherever w is classical, and
+    >= 1/2 when v may also be 1/2 there.  So no formula is built: each rail
+    is the strict set moved once along each atom p of gamma, where w(p) = 1/2
+    to any value of v(p), and on rail 0 also from a classical w(p) to 1/2.  A
+    block variable of stride s moves bits by s, its 1/2, 0 and 1 masks
+    selecting them; a prefix variable of stride t moves whole blocks by t,
+    since `rail_blocks` walks the prefixes in base 3, first most significant."""
+    first = blocks[0]
+    tail = {name: 3 ** e for e, name in enumerate(reversed(first.names))}
+    prefix = {name: 3 ** e for e, name in enumerate(reversed(first.prefix.assignments))}
+    names = atoms_of_set(gamma)
+    rails = []
+    for tolerant in (True, False):
+        masks = strict
+        for name in names:
+            if name in tail:
+                s, (h, o, le, z) = tail[name], first.env[name]
+                half = h & le
+                masks = [m | (m & half) >> s | (m & half) << s | ((m & z) << s | (m & o) >> s if tolerant else 0)
+                         for m in masks]
+            elif name in prefix:
+                t, moved = prefix[name], list(masks)
+                for b, m in enumerate(masks):
+                    digit = b // t % 3
+                    if digit == 1:
+                        moved[b - t] |= m
+                        moved[b + t] |= m
+                    elif tolerant:
+                        moved[b + t if digit == 0 else b - t] |= m
+                masks = moved
+        rails.append(masks)
+    return rails
+
+
+def _k3_lp_product(premises: tuple[Formula, ...], conclusions: tuple[Formula, ...], domain: Iterable[str]) -> bool:
+    """Whether premises => conclusions is in K3+ | LP+ through the K3-DNF
+    connector C of the premises, on C's rails (`_dnf_rails`): no position
+    where every premise is 1 and C is not (K3+ of premises => C), and none
+    where C >= 1/2 and every conclusion is 0 (LP+ of C => conclusions).
+
+    A strict position is its own disjunct, so C is 1 there: one where every
+    conclusion is 0 fails the LP check at once, before any block is closed."""
+    premise_sides, conclusion_sides = [(g, 1) for g in premises], [(d, 3) for d in conclusions]  # = 1, = 0
+    blocks, strict, falsified = [], [], []
+    for block in rail_blocks(domain):
+        positions, zero = _hits(block, premise_sides), _hits(block, conclusion_sides)
+        if positions & zero:
+            return False
+        blocks.append(block)
+        strict.append(positions)
+        falsified.append(zero)
+    tolerant, exact = _dnf_rails(premises, blocks, strict)
+    return not any(s & ~e or t & z for s, t, e, z in zip(strict, tolerant, exact, falsified))
+
+
 def product_witness(
     inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard
 ) -> ProductWitness:
     """`connector` with the checks `valid(left, premises => connector)` and
     `valid(right, connector => conclusions)`, both of which must hold.  Each
     is decided on the formula tuples over the atoms of its two sides, so the
-    connector is walked once and never printed unless a check fails."""
+    connector is walked once and never printed unless a check fails.  This
+    serves the LP-then-K3 connectors and `interpolate`'s Milne check; the
+    K3-DNF connector is checked on its closure rails (`_k3_lp_product`)."""
     connector_atoms = atoms_of_set((connector,))
     premises, conclusions = inf.premises, inf.conclusions
     left_check = _decide(left, premises, (connector,), atoms_of_set(premises) | connector_atoms, False)
@@ -197,13 +264,19 @@ def st_connecting_formula(inf: Inference) -> Union[ProductWitness, Decomposition
 
     The connector is T for an empty premise side, otherwise the K3-DNF of
     the premises.  Returns a failure with the ST countermodel when the
-    inference is not ST-valid.
+    inference is not ST-valid.  The connector is built for its text; both
+    checks run on its rails (`_k3_lp_product`), so they hold without a
+    countermodel.
     """
     verdict = valid(ST, inf)
     if not verdict.valid:
         return DecompositionFailure(verdict.countermodel)
     connector = TOP if not inf.premises else k3_dnf(inf.premises)
-    return product_witness(inf, connector, K3, LP)
+    if not _k3_lp_product(inf.premises, inf.conclusions, inf.atoms()):
+        raise RuntimeError(
+            f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}"
+        )
+    return ProductWitness(connector, Verdict(True), Verdict(True))
 
 
 def _constant_witness(inf: Inference) -> Optional[Union[AlwaysZeroPremise, AlwaysOneConclusion]]:

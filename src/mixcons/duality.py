@@ -10,9 +10,15 @@ pointwise decidable).
 
 A route is named by its identity, X=~Y or X=product/sum, and is read off
 it: an X=~Y route decides Y on the pointwise operational dual; the others
-call the one procedure for X.  By inversion, Gamma => Delta is in TS-
-exactly when Delta => Gamma is in ST+, so the TS- product is the ST
-product of the inverted inference.
+decide the product or sum that defines X, and return its bit without
+building a witness.  An ST+ product route checks the K3-DNF connector of
+the premises on its rails, a closure of the premises' strict set, so no
+connector is built.  By inversion, Gamma => Delta is in TS- exactly when
+Delta => Gamma is in ST+, so a TS- product route is that check with the
+sides swapped.  A TS+ sum route is the constant test: the relative sum is
+the antitheorems of one side plus the theorems of the other, and the
+all-1/2 valuation decides both.  ST- is the sum of K3- and LP-, decided as
+ST-antivalidity.
 
 The X=~Y routes build no dual.  Let v' be v with each variable's value
 x replaced by 1 - x.  Then `op_dual(f)` at v is `~f` at v', since the
@@ -30,13 +36,7 @@ from typing import Callable
 
 from .formula import And, Bot, Formula, Inference, Not, Or, Top, Var, BOT, TOP, invert
 from .consequence import STANDARDS, _decide, antivalid, valid
-from .decomposition import (
-    ProductWitness,
-    st_connecting_formula,
-    st_minus_sum_decision,
-    ts_minus_product_decision,
-    ts_sum_decision,
-)
+from .decomposition import _constant_witness, _k3_lp_product, st_minus_sum_decision
 
 
 class UnknownRouteError(ValueError):
@@ -109,12 +109,12 @@ def direct_membership(target: str, inf: Inference) -> bool:
     return antivalid(logic, inf).valid
 
 
-# The procedure for each set that a product or sum route defines.
+# The membership bit of the product or sum that defines each set (module docstring).
 _PRODUCT_OR_SUM: dict[str, Callable[[Inference], bool]] = {
-    "ST+": lambda inf: isinstance(st_connecting_formula(inf), ProductWitness),
-    "TS+": lambda inf: ts_sum_decision(inf).member,
+    "ST+": lambda inf: _k3_lp_product(inf.premises, inf.conclusions, inf.atoms()),
+    "TS+": lambda inf: _constant_witness(inf) is not None,
     "ST-": st_minus_sum_decision,
-    "TS-": lambda inf: isinstance(ts_minus_product_decision(inf), ProductWitness),
+    "TS-": lambda inf: _k3_lp_product(inf.conclusions, inf.premises, inf.atoms()),
 }
 
 ROUTES = (

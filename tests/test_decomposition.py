@@ -1,12 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from mixcons import decomposition, semantics
 from mixcons.formula import (
+    CONSTANT_ATOMS,
     And,
     Inference,
     Not,
@@ -146,6 +151,28 @@ class TestStProduct:
         # first failing valuation in enumeration order
         assert outcome.countermodel.assignments == {"p": ZERO}
         assert not satisfies(ST, outcome.countermodel, inf)
+
+    def test_connector_failing_its_rails_raises(self, monkeypatch):
+        """An empty rail 1 fails the K3 check at every strict position."""
+        closure = decomposition._dnf_rails
+        monkeypatch.setattr(decomposition, "_dnf_rails",
+                            lambda gamma, blocks, strict: [closure(gamma, blocks, strict)[0], [0] * len(blocks)])
+        with pytest.raises(RuntimeError, match="connector p fails a component check of p => p"):
+            st_connecting_formula(parse_sequent("p => p"))
+
+    def test_connector_failing_its_rails_raises_without_asserts(self):
+        code = (
+            "from mixcons import decomposition as d, formula\n"
+            "closure = d._dnf_rails\n"
+            "d._dnf_rails = lambda gamma, blocks, strict: [closure(gamma, blocks, strict)[0], [0] * len(blocks)]\n"
+            "d.st_connecting_formula(formula.parse_sequent('p => p'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(decomposition.__file__))
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "RuntimeError: connector p fails a component check of p => p")
 
     @given(inferences)
     def test_theorem(self, inf):
@@ -384,6 +411,29 @@ class TestBlockBoundary:
     def test_k3_dnf(self, block, gamma):
         with mock.patch.object(semantics, "BLOCK", block):
             assert k3_dnf(gamma) == _brute_strict_dnf(gamma, atoms_of_set(gamma))
+
+    @pytest.mark.parametrize("block", [1, 2, semantics.BLOCK])
+    @settings(deadline=None)  # the Fraction walk of a connector with up to 3^5 disjuncts
+    @given(gamma=st.lists(wide_formulas, max_size=3), extra=wide_formulas)
+    def test_closure_rails(self, block, gamma, extra):
+        """The rails `_dnf_rails` closes from the strict set are those of the
+        built connector at every valuation, over a domain that may hold
+        variables of `extra` the connector does not mention."""
+        gamma = tuple(gamma)
+        connector = k3_dnf(gamma) if gamma else TOP
+        domain = atoms_of_set(gamma + (extra,))
+        with mock.patch.object(semantics, "BLOCK", block):
+            blocks = list(semantics.rail_blocks(domain))
+            strict = [b.rail(conjoin(gamma), 1) for b in blocks]
+            tolerant, exact = decomposition._dnf_rails(gamma, blocks, strict)
+        seen = 0
+        for b, rail0, rail1 in zip(blocks, tolerant, exact):
+            for p in range(b.full.bit_length()):
+                env = {name: Fraction(int(value), 2) for name, value in b.valuation(p).assignments.items()}
+                value = oracles.brute_eval(connector, env)
+                assert (rail0 >> p & 1, rail1 >> p & 1) == (value >= oracles.HALF, value == oracles.ONE)
+                seen += 1
+        assert seen == 3 ** len(domain - CONSTANT_ATOMS)
 
     @pytest.mark.parametrize("block", [1, 2])
     @given(phi=lambda_free_formulas, psi=lambda_free_formulas)

@@ -1,21 +1,25 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
 import mixcons
-from mixcons import formula
+from mixcons import decomposition, formula, semantics
 from mixcons.formula import (
     And,
     Inference,
     Not,
     Or,
     Var,
+    conjoin,
     parse_formula,
     parse_sequent,
     print_formula,
     print_sequent,
 )
 from mixcons.consequence import K3, LP, ST, TS, STANDARDS, antivalid, valid
+from mixcons.decomposition import ProductWitness, st_connecting_formula, ts_minus_product_decision
 from mixcons.duality import (
     ROUTES,
     UnknownRouteError,
@@ -28,7 +32,7 @@ from mixcons.duality import (
     op_dual_sides,
 )
 
-from conftest import formulas, inferences, variable_names
+from conftest import formulas, inferences, variable_names, wide_inferences
 import oracles
 
 
@@ -162,6 +166,54 @@ class TestRoutes:
         for route in ROUTES:
             target = route.split("=", 1)[0]
             assert dual_set_membership(target, inf, route) == direct_membership(target, inf)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @given(inf=wide_inferences)
+    def test_all_sixteen_routes_agree_across_blocks(self, block, inf):
+        """Up to 5 variables in blocks of at most 1 and 3 valuations, so every
+        walk, and each product route's closure, crosses blocks."""
+        with mock.patch.object(semantics, "BLOCK", block):
+            for route in ROUTES:
+                target = route.split("=", 1)[0]
+                assert dual_set_membership(target, inf, route) == direct_membership(target, inf)
+            assert isinstance(st_connecting_formula(inf), ProductWitness) == valid(ST, inf).valid
+            assert isinstance(ts_minus_product_decision(inf), ProductWitness) == antivalid(TS, inf).valid
+
+
+class TestProductAndSumRoutes:
+    """The product routes decide on the K3-DNF connector's rails and the TS+
+    sum routes by the constant test, so no route builds a formula."""
+
+    PRODUCT_ROUTES = ("ST+=K3+|~K3-", "ST+=~LP-|LP+", "TS-=~K3+|K3-", "TS-=LP-|~LP+")
+    SUM_ROUTES = ("TS+=~K3-+K3+", "TS+=LP++~LP-")
+
+    def test_no_formula_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a route built a connector")
+
+        monkeypatch.setattr(decomposition, "k3_dnf", refuse)
+        monkeypatch.setattr(decomposition, "product_witness", refuse)
+        texts = ("p | (q & ~q) => p & (q | ~q)", "p & (q | ~q) => p | (q & ~q)", "p => q", "F, p => q",
+                 "q => T", "=> p | ~p", "p & ~p =>", "p => p", "L => p")
+        for inf in map(parse_sequent, texts):
+            for route in self.PRODUCT_ROUTES + self.SUM_ROUTES:
+                target = route.split("=", 1)[0]
+                assert dual_set_membership(target, inf, route) == direct_membership(target, inf)
+
+    def test_eleven_variables_cross_a_block(self):
+        """x0 sorts first, so at the default block size it is the one prefix
+        variable: the closure moves x0 = 1 to x0 = 1/2 across blocks and no
+        further, where the conclusion x0 is not 0."""
+        x = [Var(f"x{i}") for i in range(11)]
+        excluded_middle = conjoin(Or(v, Not(v)) for v in x)
+        member = Inference((x[0], excluded_middle), (x[0],))
+        non_member = Inference((excluded_middle,), (x[0],))
+        for inf, expected in ((member, True), (non_member, False)):
+            assert valid(ST, inf).valid is expected
+            for route in self.PRODUCT_ROUTES:
+                target = route.split("=", 1)[0]
+                sequent = inf if target == "ST+" else formula.invert(inf)
+                assert dual_set_membership(target, sequent, route) is expected
 
 
 class TestNegatedSidesRoutes:
