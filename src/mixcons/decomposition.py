@@ -5,8 +5,13 @@ disjunctive normal form of the conjoined premises, which the premises
 K3-entail and which LP-entails the conclusions.  Its two rails are a
 closure of the premises' strict set (`_dnf_rails`), so both component
 checks of the ST product are bit tests and a membership bit builds no
-formula; `product_witness` runs the two component decisions of the other
-connectors.  TS-validity holds exactly when some premise is constantly
+formula.  Each construction decides and builds from one walk of its side
+rails: the ST product reads its connector's disjuncts off the strict masks
+of the walk that checks it; the lambda-free LP-then-K3 product reads its
+connector's rails off the premises' in the walk that decides ST-validity;
+Milne's interpolant takes its three classical reasons from one {0,1}^n
+walk; `product_witness` runs both component checks of any other connector
+in one walk.  TS-validity holds exactly when some premise is constantly
 false or some conclusion constantly true; when it fails, a fresh pivot
 variable refutes membership in the relative sum.  On the lambda-free
 fragment the product also works with LP on the left and K3 on the right;
@@ -22,6 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from .formula import (
+    CONSTANT_ATOMS,
     And,
     Formula,
     Inference,
@@ -61,8 +67,8 @@ from .consequence import (
     TS,
     LogicStandard,
     Verdict,
-    _decide,
     _hits,
+    _sides,
     antivalid,
     is_antitheorem,
     is_theorem,
@@ -134,10 +140,11 @@ class TsSumDecision(Record):
         _set(self, "reason", reason)
 
 
-def _strict_dnf(gamma: tuple[Formula, ...], domain: Iterable[str], literal_atoms: Iterable[str]) -> list[Formula]:
-    """One conjunction of classical literals over `literal_atoms` per valuation
-    of `domain`, the atoms of gamma, making every member of gamma 1, in
-    enumeration order, duplicates removed.
+def _strict_dnf(strict_blocks: Iterable[tuple[RailBlock, int]], literal_atoms: Iterable[str]) -> list[Formula]:
+    """One conjunction of classical literals over `literal_atoms` per strict
+    position of `strict_blocks`, the (block, strict mask) pairs of a
+    `rail_blocks` walk into the three values, in walk order, duplicates
+    removed.
 
     In sorted order, an atom the valuation makes 1 is a literal `p`, one it
     makes 0 is `~p`, and one at 1/2 is left out.  Each strict position is
@@ -146,10 +153,7 @@ def _strict_dnf(gamma: tuple[Formula, ...], domain: Iterable[str], literal_atoms
     literal_atoms = sorted(literal_atoms)
     literals = [(Not(f), None, f) for f in map(atom_to_formula, literal_atoms)]  # indexed by value
     keys: dict[tuple[int, ...], None] = {}
-    for block in rail_blocks(domain):
-        strict = block.full
-        for g in gamma:
-            strict &= block.rail(g, 1)  # the "= 1" rail
+    for block, strict in strict_blocks:
         if not strict:
             continue
         base = len(block.values)
@@ -175,7 +179,8 @@ def k3_dnf(gamma: Iterable[Formula]) -> Formula:
     if not gamma:
         raise PreconditionError("gamma must be nonempty")
     domain = atoms_of_set(gamma)
-    return disjoin(_strict_dnf(gamma, domain, domain))
+    sides = [(g, 1) for g in gamma]  # the "= 1" rail
+    return disjoin(_strict_dnf(((block, _hits(block, sides)) for block in rail_blocks(domain)), domain))
 
 
 def _dnf_rails(gamma: tuple[Formula, ...], blocks: list[RailBlock], strict: list[int]) -> list[list[int]]:
@@ -218,11 +223,14 @@ def _dnf_rails(gamma: tuple[Formula, ...], blocks: list[RailBlock], strict: list
     return rails
 
 
-def _k3_lp_product(premises: tuple[Formula, ...], conclusions: tuple[Formula, ...], domain: Iterable[str]) -> bool:
+def _k3_lp_product(premises: tuple[Formula, ...], conclusions: tuple[Formula, ...],
+                   domain: Iterable[str]) -> Optional[tuple[list[RailBlock], list[int]]]:
     """Whether premises => conclusions is in K3+ | LP+ through the K3-DNF
     connector C of the premises, on C's rails (`_dnf_rails`): no position
     where every premise is 1 and C is not (K3+ of premises => C), and none
     where C >= 1/2 and every conclusion is 0 (LP+ of C => conclusions).
+    When it is, the walk's blocks and the premises' strict mask on each, the
+    positions where every premise is 1; None when it is not.
 
     A strict position is its own disjunct, so C is 1 there: one where every
     conclusion is 0 fails the LP check at once, before any block is closed."""
@@ -231,52 +239,67 @@ def _k3_lp_product(premises: tuple[Formula, ...], conclusions: tuple[Formula, ..
     for block in rail_blocks(domain):
         positions, zero = _hits(block, premise_sides), _hits(block, conclusion_sides)
         if positions & zero:
-            return False
+            return None
         blocks.append(block)
         strict.append(positions)
         falsified.append(zero)
     tolerant, exact = _dnf_rails(premises, blocks, strict)
-    return not any(s & ~e or t & z for s, t, e, z in zip(strict, tolerant, exact, falsified))
+    if any(s & ~e or t & z for s, t, e, z in zip(strict, tolerant, exact, falsified)):
+        return None
+    return blocks, strict
+
+
+def _check_failed(connector: Formula, inf: Inference) -> RuntimeError:
+    return RuntimeError(f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}")
 
 
 def product_witness(
     inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard
 ) -> ProductWitness:
     """`connector` with the checks `valid(left, premises => connector)` and
-    `valid(right, connector => conclusions)`, both of which must hold.  Each
-    is decided on the formula tuples over the atoms of its two sides, so the
-    connector is walked once and never printed unless a check fails.  This
-    serves the LP-then-K3 connectors and `interpolate`'s Milne check; the
-    K3-DNF connector is checked on its closure rails (`_k3_lp_product`)."""
-    connector_atoms = atoms_of_set((connector,))
-    premises, conclusions = inf.premises, inf.conclusions
-    left_check = _decide(left, premises, (connector,), atoms_of_set(premises) | connector_atoms, False)
-    right_check = _decide(right, (connector,), conclusions, connector_atoms | atoms_of_set(conclusions), False)
-    if not (left_check.valid and right_check.valid):
-        raise RuntimeError(
-            f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}"
-        )
-    return ProductWitness(connector, left_check, right_check)
+    `valid(right, connector => conclusions)`, both of which must hold.  One
+    walk of the three values over the atoms of the sides and the connector
+    tests both on each block, so the connector is never printed unless a
+    check fails.  This serves the universal lambda witness and
+    `interpolate`'s Milne check; the K3-DNF connector is checked on its
+    closure rails (`_k3_lp_product`), the lambda-free LP-then-K3 connectors
+    on rails read off the premises'."""
+    left_sides = _sides(left, inf.premises, (connector,), False)
+    right_sides = _sides(right, (connector,), inf.conclusions, False)
+    for block in rail_blocks(inf.atoms() | atoms(connector)):
+        if _hits(block, left_sides) or _hits(block, right_sides):
+            raise _check_failed(connector, inf)
+    return ProductWitness(connector, Verdict(True), Verdict(True))
 
 
 def st_connecting_formula(inf: Inference) -> Union[ProductWitness, DecompositionFailure]:
     """Product witness for ST-validity: K3 to the connector, LP onward.
 
     The connector is T for an empty premise side, otherwise the K3-DNF of
-    the premises.  Returns a failure with the ST countermodel when the
-    inference is not ST-valid.  The connector is built for its text; both
-    checks run on its rails (`_k3_lp_product`), so they hold without a
-    countermodel.
+    the premises.  One walk (`_k3_lp_product`) decides the product and runs
+    both checks on the connector's rails, so they hold without a
+    countermodel; the connector's disjuncts are read off the strict masks
+    that walk holds, where the atoms the premises do not mention are 0,
+    since the strict set does not depend on them.  When the product fails,
+    `valid(ST)` gives the failure's countermodel.
     """
-    verdict = valid(ST, inf)
-    if not verdict.valid:
-        return DecompositionFailure(verdict.countermodel)
-    connector = TOP if not inf.premises else k3_dnf(inf.premises)
-    if not _k3_lp_product(inf.premises, inf.conclusions, inf.atoms()):
-        raise RuntimeError(
-            f"connector {print_formula(connector)} fails a component check of {print_sequent(inf)}"
-        )
-    return ProductWitness(connector, Verdict(True), Verdict(True))
+    premises = inf.premises
+    walked = _k3_lp_product(premises, inf.conclusions, inf.atoms())
+    if walked is None:
+        verdict = valid(ST, inf)
+        if not verdict.valid:
+            return DecompositionFailure(verdict.countermodel)
+        raise _check_failed(k3_dnf(premises) if premises else TOP, inf)
+    if not premises:
+        return ProductWitness(TOP, Verdict(True), Verdict(True))
+    literal_atoms = atoms_of_set(premises)
+    unmentioned = inf.atoms() - literal_atoms - CONSTANT_ATOMS
+    strict_blocks = []
+    for block, strict in zip(*walked):
+        for name in unmentioned:
+            strict &= block.env[name][3]  # = 0
+        strict_blocks.append((block, strict))
+    return ProductWitness(disjoin(_strict_dnf(strict_blocks, literal_atoms)), Verdict(True), Verdict(True))
 
 
 def _constant_witness(inf: Inference) -> Optional[Union[AlwaysZeroPremise, AlwaysOneConclusion]]:
@@ -327,28 +350,53 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
     when every valuation makes some conclusion strictly true, otherwise
     the conjoined premises together with excluded middle over every atom
     of the conclusions.
+
+    One walk of the three values decides it: ST-validity fails at a
+    position where every premise is 1 and every conclusion 0, and the
+    checks LP+ of premises => C and K3+ of C => conclusions run on C's
+    rails.  Those of F and T are constant; the conjunction is >= 1/2 where
+    every premise is, and 1 where every premise is 1 and every variable of
+    the conclusions is classical.  When the product fails, `valid(ST)`
+    gives the failure's countermodel.
     """
     if LAM_ATOM in inf.atoms():
         raise LambdaNotAllowedError(
             "lambda-free construction; the full language is handled by the "
             "universal lambda witness"
         )
-    verdict = valid(ST, inf)
-    if not verdict.valid:
-        return DecompositionFailure(verdict.countermodel)
-
+    premises, conclusions = inf.premises, inf.conclusions
+    conclusion_atoms = atoms_of_set(conclusions)
     witness = _constant_witness(inf)
     if isinstance(witness, AlwaysZeroPremise):
         connector: Formula = BOT
     elif isinstance(witness, AlwaysOneConclusion):
         connector = TOP
     else:
-        tautologies = [
-            Or(atom_to_formula(a), Not(atom_to_formula(a)))
-            for a in sorted(atoms_of_set(inf.conclusions))
-        ]
-        connector = And(conjoin(inf.premises), conjoin(tautologies))
-    return product_witness(inf, connector, LP, K3)
+        tautologies = [Or(atom_to_formula(a), Not(atom_to_formula(a))) for a in sorted(conclusion_atoms)]
+        connector = And(conjoin(premises), conjoin(tautologies))
+    classical = conclusion_atoms - CONSTANT_ATOMS  # a constant's excluded middle is 1
+    tolerant_sides, strict_sides = [(g, 0) for g in premises], [(g, 1) for g in premises]  # >= 1/2, = 1
+    below_one_sides, zero_sides = [(d, 2) for d in conclusions], [(d, 3) for d in conclusions]  # <= 1/2, = 0
+    for block in rail_blocks(inf.atoms()):
+        strict = _hits(block, strict_sides)
+        if strict and strict & _hits(block, zero_sides):
+            break
+        tolerant = _hits(block, tolerant_sides)
+        if witness is None:
+            at_least_half, one = tolerant, strict
+            for name in classical:
+                _, is_one, _, is_zero = block.env[name]
+                one &= is_one | is_zero
+        else:
+            at_least_half, one = block.rail(connector, 0), block.rail(connector, 1)
+        if tolerant & ~at_least_half or one and one & _hits(block, below_one_sides):
+            break
+    else:
+        return ProductWitness(connector, Verdict(True), Verdict(True))
+    verdict = valid(ST, inf)
+    if not verdict.valid:
+        return DecompositionFailure(verdict.countermodel)
+    raise _check_failed(connector, inf)
 
 
 class MilneFailure(Record):
@@ -364,20 +412,29 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
     Same construction as the K3-DNF connector, with each disjunct's
     literals restricted to the atoms shared by both sides; a disjunct with
     no remaining literals becomes T.  The result is K3-entailed by `phi`
-    and LP-entails `psi`.
+    and LP-entails `psi`.  One walk of {0,1}^n over the atoms of both
+    sides gives the classical reasons to refuse, in this order: an invalid
+    inference, a contradictory `phi`, a tautologous `psi`; a walk of the
+    three values over the atoms of `phi` then gives its strict masks.
     """
     phi_atoms, psi_atoms = atoms(phi), atoms(psi)
     if LAM_ATOM in phi_atoms | psi_atoms:
         return MilneFailure("lambda-present")
     # Without lambda, classical validity is ST-validity, which walks only {0,1}^n.
-    if not _decide(ST, (phi,), (psi,), phi_atoms | psi_atoms, False).valid:
-        return MilneFailure("invalid-inference")
-    if _decide(ST, (), (Not(phi),), phi_atoms, False).valid:
+    satisfiable = falsifiable = False
+    for block in rail_blocks(phi_atoms | psi_atoms, (ZERO, ONE)):
+        phi_one, psi_one = block.rail(phi, 1), block.rail(psi, 1)
+        if phi_one & ~psi_one:
+            return MilneFailure("invalid-inference")
+        satisfiable = satisfiable or phi_one != 0
+        falsifiable = falsifiable or psi_one != block.full
+    if not satisfiable:
         return MilneFailure("contradiction")
-    if _decide(ST, (), (psi,), psi_atoms, False).valid:
+    if not falsifiable:
         return MilneFailure("tautology")
 
-    disjuncts = _strict_dnf((phi,), phi_atoms, phi_atoms & psi_atoms)
+    strict_blocks = ((block, block.rail(phi, 1)) for block in rail_blocks(phi_atoms))
+    disjuncts = _strict_dnf(strict_blocks, phi_atoms & psi_atoms)
     if not disjuncts:
         raise RuntimeError(f"classically satisfiable premise {print_formula(phi)} has no strict valuation")
     return disjoin(disjuncts)

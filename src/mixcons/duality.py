@@ -111,10 +111,10 @@ def direct_membership(target: str, inf: Inference) -> bool:
 
 # The membership bit of the product or sum that defines each set (module docstring).
 _PRODUCT_OR_SUM: dict[str, Callable[[Inference], bool]] = {
-    "ST+": lambda inf: _k3_lp_product(inf.premises, inf.conclusions, inf.atoms()),
+    "ST+": lambda inf: _k3_lp_product(inf.premises, inf.conclusions, inf.atoms()) is not None,
     "TS+": lambda inf: _constant_witness(inf) is not None,
     "ST-": st_minus_sum_decision,
-    "TS-": lambda inf: _k3_lp_product(inf.conclusions, inf.premises, inf.atoms()),
+    "TS-": lambda inf: _k3_lp_product(inf.conclusions, inf.premises, inf.atoms()) is not None,
 }
 
 ROUTES = (

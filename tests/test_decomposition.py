@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from mixcons import decomposition, semantics
+from mixcons import consequence, decomposition, semantics
 from mixcons.formula import (
     CONSTANT_ATOMS,
     And,
@@ -76,6 +76,15 @@ def _brute_constant(f, value) -> bool:
         oracles.brute_eval(f, dict(zip(names, combo))) == value
         for combo in itertools.product(oracles.VALUES, repeat=len(names))
     )
+
+
+def _last_error_without_asserts(code: str) -> str:
+    """The last stderr line of `code` run in a `python -O` child, which must exit 1."""
+    src = os.path.dirname(os.path.dirname(decomposition.__file__))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1
+    return done.stderr.splitlines()[-1]
 
 
 class TestK3Dnf:
@@ -167,12 +176,7 @@ class TestStProduct:
             "d._dnf_rails = lambda gamma, blocks, strict: [closure(gamma, blocks, strict)[0], [0] * len(blocks)]\n"
             "d.st_connecting_formula(formula.parse_sequent('p => p'))\n"
         )
-        src = os.path.dirname(os.path.dirname(decomposition.__file__))
-        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert done.returncode == 1
-        assert done.stderr.splitlines()[-1] == (
-            "RuntimeError: connector p fails a component check of p => p")
+        assert _last_error_without_asserts(code) == "RuntimeError: connector p fails a component check of p => p"
 
     @given(inferences)
     def test_theorem(self, inf):
@@ -272,6 +276,34 @@ class TestLpK3Product:
         with pytest.raises(LambdaNotAllowedError):
             lp_k3_connector_lambda_free(parse_sequent("T => L"))
 
+    # A wrong constant witness picks F, which fails the LP check of p => F,
+    # or T, which fails the K3 check of T => p.
+    FORCED = [("AlwaysZeroPremise", "premises", "F"), ("AlwaysOneConclusion", "conclusions", "T")]
+
+    @pytest.mark.parametrize("witness, side, connector", FORCED)
+    def test_connector_failing_its_rails_raises(self, monkeypatch, witness, side, connector):
+        monkeypatch.setattr(decomposition, "_constant_witness",
+                            lambda inf: getattr(decomposition, witness)(getattr(inf, side)[0]))
+        with pytest.raises(RuntimeError, match=f"connector {connector} fails a component check of p => p"):
+            lp_k3_connector_lambda_free(parse_sequent("p => p"))
+
+    @pytest.mark.parametrize("witness, side, connector", FORCED)
+    def test_connector_failing_its_rails_raises_without_asserts(self, witness, side, connector):
+        code = (
+            "from mixcons import decomposition as d, formula\n"
+            f"d._constant_witness = lambda inf: d.{witness}(inf.{side}[0])\n"
+            "d.lp_k3_connector_lambda_free(formula.parse_sequent('p => p'))\n"
+        )
+        assert _last_error_without_asserts(code) == (
+            f"RuntimeError: connector {connector} fails a component check of p => p")
+
+    def test_product_witness_check_raises_without_asserts(self):
+        code = (
+            "from mixcons import consequence as c, decomposition as d, formula\n"
+            "d.product_witness(formula.parse_sequent('p => q'), formula.BOT, c.LP, c.K3)\n"
+        )
+        assert _last_error_without_asserts(code) == "RuntimeError: connector F fails a component check of p => q"
+
     @given(lambda_free_inferences)
     def test_succeeds_exactly_on_st_validity(self, inf):
         outcome = lp_k3_connector_lambda_free(inf)
@@ -314,7 +346,7 @@ class TestMilne:
         assert outcome.reason == "lambda-present"
 
     def test_missing_strict_valuation_names_the_premise(self, monkeypatch):
-        monkeypatch.setattr(decomposition, "_strict_dnf", lambda gamma, domain, literal_atoms: [])
+        monkeypatch.setattr(decomposition, "_strict_dnf", lambda strict_blocks, literal_atoms: [])
         with pytest.raises(RuntimeError, match=r"premise p & q has no strict valuation"):
             milne_interpolant(parse_formula("p & q"), Var("p"))
 
@@ -447,6 +479,98 @@ class TestBlockBoundary:
     def test_classically_valid(self, block, inf):
         with mock.patch.object(semantics, "BLOCK", block):
             assert classically_valid(inf) == _brute_classically_valid(inf)
+
+
+def _oracle_milne_reason(phi, psi):
+    """The first reason Milne's construction refuses a lambda-free pair, by
+    the `Fraction` ST checks (classical validity without lambda); None if none."""
+    if not oracles.brute_valid("ST", Inference((phi,), (psi,))):
+        return "invalid-inference"
+    if oracles.brute_valid("ST", Inference((), (Not(phi),))):
+        return "contradiction"
+    if oracles.brute_valid("ST", Inference((), (psi,))):
+        return "tautology"
+    return None
+
+
+class TestSharedWalks:
+    """Each construction decides and builds from one walk of its side rails,
+    at block sizes that split the walk into many prefix blocks and at the default."""
+
+    @pytest.mark.parametrize("block", [1, 2, semantics.BLOCK])
+    @given(gamma=st.lists(wide_formulas, min_size=1, max_size=3), extra=wide_formulas)
+    def test_st_connector_is_the_k3_dnf(self, block, gamma, extra):
+        """The conclusions may mention atoms the premises lack, sorting before,
+        between or after theirs; the inference is ST-valid by its first conclusion."""
+        inf = Inference(tuple(gamma), (Or(conjoin(gamma), extra), extra))
+        expected = k3_dnf(inf.premises)
+        with mock.patch.object(semantics, "BLOCK", block):
+            witness = st_connecting_formula(inf)
+        assert witness == ProductWitness(expected, Verdict(True), Verdict(True))
+
+    @pytest.mark.parametrize("block", [1, 2, semantics.BLOCK])
+    @given(inf=lambda_free_inferences)
+    @example(inf=MIXED_EXAMPLE)
+    @example(inf=parse_sequent("p, ~p => q"))
+    def test_lp_k3_witness_exactly_when_product_witness_accepts(self, block, inf):
+        with mock.patch.object(semantics, "BLOCK", block):
+            outcome = lp_k3_connector_lambda_free(inf)
+            if isinstance(outcome, ProductWitness):
+                assert product_witness(inf, outcome.connector, LP, K3) == outcome
+                return
+            excluded_middle = conjoin(Or(atom_to_formula(a), Not(atom_to_formula(a)))
+                                      for a in sorted(atoms_of_set(inf.conclusions)))
+            for connector in (BOT, TOP, And(conjoin(inf.premises), excluded_middle)):
+                with pytest.raises(RuntimeError):
+                    product_witness(inf, connector, LP, K3)
+        expected = valid(ST, inf).countermodel
+        assert list(outcome.countermodel.assignments.items()) == list(expected.assignments.items())
+
+    @pytest.mark.parametrize("block", [1, 2, semantics.BLOCK])
+    @given(phi=lambda_free_formulas, psi=lambda_free_formulas)
+    @example(phi=parse_formula("p & ~p"), psi=parse_formula("q | ~q"))  # contradiction, not tautology
+    def test_milne_reasons_match_the_fraction_checks(self, block, phi, psi):
+        with mock.patch.object(semantics, "BLOCK", block):
+            outcome = milne_interpolant(phi, psi)
+        reason = _oracle_milne_reason(phi, psi)
+        if reason is None:
+            assert not isinstance(outcome, MilneFailure)
+        else:
+            assert outcome == MilneFailure(reason)
+
+    def _count_walks(self, monkeypatch) -> list:
+        walks = []
+        walk = semantics.rail_blocks
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(decomposition, "rail_blocks", counted)
+        return walks
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("a second walk")
+
+    def test_st_member_walks_once(self, monkeypatch):
+        walks = self._count_walks(monkeypatch)
+        monkeypatch.setattr(decomposition, "valid", self._refuse)
+        monkeypatch.setattr(decomposition, "k3_dnf", self._refuse)
+        witness = st_connecting_formula(parse_sequent("p | (q & ~q) => p & (r | ~r)"))
+        assert isinstance(witness, ProductWitness) and len(walks) == 1
+
+    def test_lp_k3_member_walks_once(self, monkeypatch):
+        walks = self._count_walks(monkeypatch)
+        monkeypatch.setattr(decomposition, "valid", self._refuse)
+        monkeypatch.setattr(decomposition, "product_witness", self._refuse)
+        assert isinstance(lp_k3_connector_lambda_free(MIXED_EXAMPLE), ProductWitness) and len(walks) == 1
+
+    def test_milne_makes_no_decision(self, monkeypatch):
+        walks = self._count_walks(monkeypatch)
+        monkeypatch.setattr(consequence, "_decide", self._refuse)
+        assert milne_interpolant(parse_formula("p | (q & ~q)"), parse_formula("p & (r | ~r)")) == Var("p")
+        assert len(walks) == 2  # the classical reasons, then the strict masks
 
 
 class TestAntivalidityDecompositions:
