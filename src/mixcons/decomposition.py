@@ -10,8 +10,8 @@ rails: the ST product reads its connector's disjuncts off the strict masks
 of the walk that checks it; the lambda-free LP-then-K3 product reads its
 connector's rails off the premises' in the walk that decides ST-validity;
 Milne's interpolant takes its three classical reasons from one {0,1}^n
-walk; `product_witness` runs both component checks of any other connector
-in one walk.  TS-validity holds exactly when some premise is constantly
+walk; `product_witness` decides the two component checks of any other
+connector, each over the atoms of its own two sides.  TS-validity holds exactly when some premise is constantly
 false or some conclusion constantly true; when it fails, a fresh pivot
 variable refutes membership in the relative sum.  On the lambda-free
 fragment the product also works with LP on the left and K3 on the right;
@@ -67,8 +67,8 @@ from .consequence import (
     TS,
     LogicStandard,
     Verdict,
+    _decide,
     _hits,
-    _sides,
     antivalid,
     is_antitheorem,
     is_theorem,
@@ -257,19 +257,21 @@ def product_witness(
     inf: Inference, connector: Formula, left: LogicStandard, right: LogicStandard
 ) -> ProductWitness:
     """`connector` with the checks `valid(left, premises => connector)` and
-    `valid(right, connector => conclusions)`, both of which must hold.  One
-    walk of the three values over the atoms of the sides and the connector
-    tests both on each block, so the connector is never printed unless a
-    check fails.  This serves the universal lambda witness and
-    `interpolate`'s Milne check; the K3-DNF connector is checked on its
-    closure rails (`_k3_lp_product`), the lambda-free LP-then-K3 connectors
-    on rails read off the premises'."""
-    left_sides = _sides(left, inf.premises, (connector,), False)
-    right_sides = _sides(right, (connector,), inf.conclusions, False)
-    for block in rail_blocks(inf.atoms() | atoms(connector)):
-        if _hits(block, left_sides) or _hits(block, right_sides):
-            raise _check_failed(connector, inf)
-    return ProductWitness(connector, Verdict(True), Verdict(True))
+    `valid(right, connector => conclusions)`, both of which must hold.  Each
+    is decided on the formula tuples over the atoms of its own two sides, so
+    a connector on the shared atoms costs two walks of 3^|sides| rather than
+    one of their product, and it is never printed unless a check fails.
+    This serves the universal lambda witness and `interpolate`'s Milne
+    check; the K3-DNF connector is checked on its closure rails
+    (`_k3_lp_product`), the lambda-free LP-then-K3 connectors on rails read
+    off the premises'."""
+    connector_atoms = atoms_of_set((connector,))
+    premises, conclusions = inf.premises, inf.conclusions
+    left_check = _decide(left, premises, (connector,), atoms_of_set(premises) | connector_atoms, False)
+    right_check = _decide(right, (connector,), conclusions, connector_atoms | atoms_of_set(conclusions), False)
+    if not (left_check.valid and right_check.valid):
+        raise _check_failed(connector, inf)
+    return ProductWitness(connector, left_check, right_check)
 
 
 def st_connecting_formula(inf: Inference) -> Union[ProductWitness, DecompositionFailure]:
@@ -351,13 +353,13 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
     the conjoined premises together with excluded middle over every atom
     of the conclusions.
 
-    One walk of the three values decides it: ST-validity fails at a
-    position where every premise is 1 and every conclusion 0, and the
-    checks LP+ of premises => C and K3+ of C => conclusions run on C's
-    rails.  Those of F and T are constant; the conjunction is >= 1/2 where
-    every premise is, and 1 where every premise is 1 and every variable of
-    the conclusions is classical.  When the product fails, `valid(ST)`
-    gives the failure's countermodel.
+    One walk of the three values decides it: the checks LP+ of premises
+    => C and K3+ of C => conclusions run on C's rails.  Those of F and T
+    are constant; the conjunction is >= 1/2 where every premise is, and 1
+    where every premise is 1 and every variable of the conclusions is
+    classical.  The product implies ST-validity, so an inference that is
+    not ST-valid fails a check, and `valid(ST)` then gives the failure's
+    countermodel.
     """
     if LAM_ATOM in inf.atoms():
         raise LambdaNotAllowedError(
@@ -376,14 +378,11 @@ def lp_k3_connector_lambda_free(inf: Inference) -> Union[ProductWitness, Decompo
         connector = And(conjoin(premises), conjoin(tautologies))
     classical = conclusion_atoms - CONSTANT_ATOMS  # a constant's excluded middle is 1
     tolerant_sides, strict_sides = [(g, 0) for g in premises], [(g, 1) for g in premises]  # >= 1/2, = 1
-    below_one_sides, zero_sides = [(d, 2) for d in conclusions], [(d, 3) for d in conclusions]  # <= 1/2, = 0
+    below_one_sides = [(d, 2) for d in conclusions]  # <= 1/2
     for block in rail_blocks(inf.atoms()):
-        strict = _hits(block, strict_sides)
-        if strict and strict & _hits(block, zero_sides):
-            break
         tolerant = _hits(block, tolerant_sides)
         if witness is None:
-            at_least_half, one = tolerant, strict
+            at_least_half, one = tolerant, _hits(block, strict_sides)
             for name in classical:
                 _, is_one, _, is_zero = block.env[name]
                 one &= is_one | is_zero

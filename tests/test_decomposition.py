@@ -116,7 +116,8 @@ class TestProductWitness:
     def test_failed_check_names_the_connector(self):
         with pytest.raises(RuntimeError, match="connector q fails a component check of p => p"):
             product_witness(parse_sequent("p => p"), Var("q"), K3, LP)
-
+        with pytest.raises(RuntimeError, match="connector p fails a component check of p => q"):
+            product_witness(parse_sequent("p => q"), Var("p"), K3, LP)  # only the right check fails
 
     @given(inferences)
     def test_checks_equal_validity(self, inf):
@@ -512,17 +513,22 @@ class TestSharedWalks:
     @given(inf=lambda_free_inferences)
     @example(inf=MIXED_EXAMPLE)
     @example(inf=parse_sequent("p, ~p => q"))
-    def test_lp_k3_witness_exactly_when_product_witness_accepts(self, block, inf):
+    def test_lp_k3_witness_exactly_when_its_component_checks_hold(self, block, inf):
+        """The component checks are decided by `valid` on the two inferences."""
+
+        def checks_hold(connector):
+            return (valid(LP, Inference(inf.premises, (connector,))).valid
+                    and valid(K3, Inference((connector,), inf.conclusions)).valid)
+
         with mock.patch.object(semantics, "BLOCK", block):
             outcome = lp_k3_connector_lambda_free(inf)
-            if isinstance(outcome, ProductWitness):
-                assert product_witness(inf, outcome.connector, LP, K3) == outcome
-                return
-            excluded_middle = conjoin(Or(atom_to_formula(a), Not(atom_to_formula(a)))
-                                      for a in sorted(atoms_of_set(inf.conclusions)))
-            for connector in (BOT, TOP, And(conjoin(inf.premises), excluded_middle)):
-                with pytest.raises(RuntimeError):
-                    product_witness(inf, connector, LP, K3)
+        if isinstance(outcome, ProductWitness):
+            assert outcome == ProductWitness(outcome.connector, Verdict(True), Verdict(True))
+            assert checks_hold(outcome.connector)
+            return
+        excluded_middle = conjoin(Or(atom_to_formula(a), Not(atom_to_formula(a)))
+                                  for a in sorted(atoms_of_set(inf.conclusions)))
+        assert not any(checks_hold(c) for c in (BOT, TOP, And(conjoin(inf.premises), excluded_middle)))
         expected = valid(ST, inf).countermodel
         assert list(outcome.countermodel.assignments.items()) == list(expected.assignments.items())
 
