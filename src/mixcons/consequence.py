@@ -2,24 +2,24 @@
 
 A logic standard is a pair of designated-value sets, each strict ({1}) or
 tolerant ({1/2, 1}): one for premises, one for conclusions.  K3 and LP use
-the same set on both sides; ST and TS mix the two.
+the same set on both sides; ST and TS mix the two.  Gamma => Delta is
+X-antivalid, with the same countermodel, exactly when Delta => Gamma is
+valid in `_inverse(X)`, X with the two sets swapped: ST and TS swap.
 
-Validity and antivalidity return the lexicographically first countermodel
-(sorted variables, 0 < 1/2 < 1): the lowest bit, one per valuation walked,
-of a block where every premise and no conclusion is designated (for
-antivalidity: no premise and every conclusion).  Each side formula is
-evaluated once per block (`semantics.rail_blocks`), for one rail: that of
-its designated set, or for "not designated" the other rail of its negation
-(f < 1/2 is ~f = 1, f < 1 is ~f >= 1/2).  K3 and LP walk all 3^n
-valuations.  Countermodels of ST-validity and TS-antivalidity are closed
-under sharpening, so only {0,1}^n is walked.  Those of TS-validity and
-ST-antivalidity are closed under moving values to 1/2: each chunk of up to
-16 sorted variables (the most whose 2^k valuations fit in a block of
-2^BLOCK bits) is one {0,1/2} block, with earlier chunks fixed and later
-ones 1/2, and its lowest hit fixes it; none in the first chunk means valid.
+Validity returns the lexicographically first countermodel (sorted
+variables, 0 < 1/2 < 1): the lowest bit, one per valuation walked, of a
+block where every premise and no conclusion is designated.  Each side
+formula is evaluated once per block (`semantics.rail_blocks`), for one rail:
+that of its designated set, or for "not designated" the other rail of its
+negation (f < 1/2 is ~f = 1, f < 1 is ~f >= 1/2).  K3 and LP walk all 3^n
+valuations.  ST's countermodels are closed under sharpening, so only
+{0,1}^n is walked; TS's under moving values to 1/2: each chunk of up to 16
+sorted variables (the most whose 2^k valuations fit in a block of 2^BLOCK
+bits) is one {0,1/2} block, with earlier chunks fixed and later ones 1/2,
+and its lowest hit fixes it; none in the first chunk means valid.
 
-The one search is the private `_decide(logic, premises, conclusions, domain,
-anti)` over formula tuples and a domain of atoms (the constants in it are
+The one search is the private `_decide(logic, premises, conclusions,
+domain)` over formula tuples and a domain of atoms (the constants in it are
 ignored).  `valid` and `antivalid` pass an inference's sides and atoms;
 callers that hold plain formula tuples (theoremhood, the product checks,
 the duality routes) pass the tuples and `atoms_of_set` of them, and build
@@ -70,6 +70,13 @@ TS = LogicStandard("TS", _TOLERANT, _STRICT)
 
 STANDARDS = {"K3": K3, "LP": LP, "ST": ST, "TS": TS}
 
+_INVERSES = {(s.conclusion_designated, s.premise_designated): s for s in STANDARDS.values()}
+
+
+def _inverse(logic: LogicStandard) -> LogicStandard:
+    """`logic` with its two sets swapped; every standard's sets are one of the four pairs."""
+    return _INVERSES[logic.premise_designated, logic.conclusion_designated]
+
 
 class Verdict(Record):
     __slots__ = __match_args__ = ("valid", "countermodel")
@@ -80,8 +87,7 @@ class Verdict(Record):
 
 
 def _hits(block, sides) -> int:
-    """The positions of `block` where every premise and no conclusion is
-    designated (for antivalidity: no premise and every conclusion)."""
+    """The positions of `block` where every premise and no conclusion is designated."""
     hits = block.full
     for f, rail in sides:
         hits &= block.rail(f, rail)
@@ -114,47 +120,35 @@ def _chunk_walk(sides, domain: Iterable[Atom]) -> Verdict:
     return Verdict(False, countermodel)
 
 
-def _sides(logic: LogicStandard, premises: tuple[Formula, ...], conclusions: tuple[Formula, ...],
-           anti: bool) -> list:
-    """(formula, rail) per side formula: where it must be designated, rail 0
-    (>= 1/2) if tolerant and rail 1 (= 1) if strict; where it must not be,
-    that rail ^ 3, the other rail of its negation (f < 1/2 is ~f = 1, rail 3;
-    f < 1 is ~f >= 1/2, rail 2)."""
-    premise_rail = 0 if HALF in logic.premise_designated else 1
-    conclusion_rail = 0 if HALF in logic.conclusion_designated else 1
-    sides = [(g, premise_rail ^ 3 if anti else premise_rail) for g in premises]
-    return sides + [(d, conclusion_rail if anti else conclusion_rail ^ 3) for d in conclusions]
-
-
 def _decide(logic: LogicStandard, premises: tuple[Formula, ...], conclusions: tuple[Formula, ...],
-            domain: Iterable[Atom], anti: bool) -> Verdict:
-    """The search the module docstring describes, for validity or antivalidity
-    of premises => conclusions, over the variables of `domain`."""
-    half_in_premises = (HALF in logic.premise_designated) != anti
-    half_in_conclusions = (HALF in logic.conclusion_designated) == anti
-    sides = _sides(logic, premises, conclusions, anti)
-    if half_in_premises and half_in_conclusions:
+            domain: Iterable[Atom]) -> Verdict:
+    """The search the module docstring describes, over the variables of
+    `domain`: each premise on its designated rail, 0 (>= 1/2) if tolerant and
+    1 (= 1) if strict, each conclusion on that rail ^ 3, the other rail of its
+    negation (f < 1/2 is ~f = 1, rail 3; f < 1 is ~f >= 1/2, rail 2)."""
+    tolerant = HALF in logic.premise_designated, HALF in logic.conclusion_designated
+    sides = [(g, 1 - tolerant[0]) for g in premises] + [(d, 2 + tolerant[1]) for d in conclusions]
+    if tolerant == (True, False):  # TS
         return _chunk_walk(sides, domain)
-    space = VALUE_ORDER if half_in_premises or half_in_conclusions else (ZERO, ONE)
-    return _block_walk(sides, domain, space)
+    return _block_walk(sides, domain, (ZERO, ONE) if tolerant == (False, True) else VALUE_ORDER)  # ST, K3/LP
 
 
 def valid(logic: LogicStandard, inf: Inference) -> Verdict:
-    return _decide(logic, inf.premises, inf.conclusions, inf.atoms(), False)
+    return _decide(logic, inf.premises, inf.conclusions, inf.atoms())
 
 
 def antivalid(logic: LogicStandard, inf: Inference) -> Verdict:
-    return _decide(logic, inf.premises, inf.conclusions, inf.atoms(), True)
+    return _decide(_inverse(logic), inf.conclusions, inf.premises, inf.atoms())
 
 
 def is_antitheorem(logic: LogicStandard, gamma: Iterable[Formula]) -> bool:
     gamma = tuple(gamma)
-    return _decide(logic, gamma, (), atoms_of_set(gamma), False).valid
+    return _decide(logic, gamma, (), atoms_of_set(gamma)).valid
 
 
 def is_theorem(logic: LogicStandard, delta: Iterable[Formula]) -> bool:
     delta = tuple(delta)
-    return _decide(logic, (), delta, atoms_of_set(delta), False).valid
+    return _decide(logic, (), delta, atoms_of_set(delta)).valid
 
 
 def classically_valid(inf: Inference) -> bool:
@@ -163,7 +157,8 @@ def classically_valid(inf: Inference) -> bool:
     Meaningful on the lambda-free fragment, where it coincides with
     ST-validity.
     """
-    return _block_walk(_sides(K3, inf.premises, inf.conclusions, False), inf.atoms(), (ZERO, ONE)).valid
+    sides = [(g, 1) for g in inf.premises] + [(d, 2) for d in inf.conclusions]  # K3's: = 1, <= 1/2
+    return _block_walk(sides, inf.atoms(), (ZERO, ONE)).valid
 
 
 def verdict_record(logic: LogicStandard, inf: Inference, verdict: Verdict, anti: bool = False) -> dict:

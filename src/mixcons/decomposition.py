@@ -11,15 +11,17 @@ of the walk that checks it; the lambda-free LP-then-K3 product reads its
 connector's rails off the premises' in the walk that decides ST-validity;
 Milne's interpolant takes its three classical reasons from one {0,1}^n
 walk; `product_witness` decides the two component checks of any other
-connector, each over the atoms of its own two sides.  TS-validity holds exactly when some premise is constantly
-false or some conclusion constantly true; when it fails, a fresh pivot
-variable refutes membership in the relative sum.  On the lambda-free
-fragment the product also works with LP on the left and K3 on the right;
-with lambda available, that product is universal.
+connector, each over the atoms of its own two sides.  TS-validity holds
+exactly when some premise is constantly false or some conclusion
+constantly true; when it fails, a fresh pivot variable refutes membership
+in the relative sum.  On the lambda-free fragment the product also works
+with LP on the left and K3 on the right; with lambda available, that
+product is universal.
 
-The TS- product follows by inversion: Gamma => Delta is TS-antivalid
-exactly when Delta => Gamma is ST-valid, so `ts_minus_product_decision` is
-the ST product of the inverted inference, connector included.
+By inversion, Gamma => Delta is TS-antivalid (ST-antivalid) exactly when
+Delta => Gamma is ST-valid (TS-valid): `ts_minus_product_decision` is the
+ST product of the inverted inference, connector included, and
+`st_minus_sum_decision` the TS sum's constant test on it.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .consequence import (
     Verdict,
     _decide,
     _hits,
-    antivalid,
     is_antitheorem,
     is_theorem,
     valid,
@@ -267,8 +268,8 @@ def product_witness(
     off the premises'."""
     connector_atoms = atoms_of_set((connector,))
     premises, conclusions = inf.premises, inf.conclusions
-    left_check = _decide(left, premises, (connector,), atoms_of_set(premises) | connector_atoms, False)
-    right_check = _decide(right, (connector,), conclusions, connector_atoms | atoms_of_set(conclusions), False)
+    left_check = _decide(left, premises, (connector,), atoms_of_set(premises) | connector_atoms)
+    right_check = _decide(right, (connector,), conclusions, connector_atoms | atoms_of_set(conclusions))
     if not (left_check.valid and right_check.valid):
         raise _check_failed(connector, inf)
     return ProductWitness(connector, left_check, right_check)
@@ -440,8 +441,8 @@ def milne_interpolant(phi: Formula, psi: Formula) -> Union[Formula, MilneFailure
 
 
 def st_minus_sum_decision(inf: Inference) -> bool:
-    """Membership in the sum of K3- and LP-antivalidities (= ST-antivalidity)."""
-    return antivalid(ST, inf).valid
+    """Membership in the sum of K3- and LP-antivalidities (= ST-antivalidity), by inversion."""
+    return _constant_witness(invert(inf)) is not None
 
 
 def ts_minus_product_decision(inf: Inference) -> Union[ProductWitness, DecompositionFailure]:

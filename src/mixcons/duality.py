@@ -9,16 +9,16 @@ per-inference membership tests (the sets themselves are infinite but
 pointwise decidable).
 
 A route is named by its identity, X=~Y or X=product/sum, and is read off
-it: an X=~Y route decides Y on the pointwise operational dual; the others
-decide the product or sum that defines X, and return its bit without
-building a witness.  An ST+ product route checks the K3-DNF connector of
-the premises on its rails, a closure of the premises' strict set, so no
-connector is built.  By inversion, Gamma => Delta is in TS- exactly when
-Delta => Gamma is in ST+, so a TS- product route is that check with the
-sides swapped.  A TS+ sum route is the constant test: the relative sum is
-the antitheorems of one side plus the theorems of the other, and the
-all-1/2 valuation decides both.  ST- is the sum of K3- and LP-, decided as
-ST-antivalidity.
+it, as validity in one standard: Gamma => Delta is X-antivalid exactly
+when Delta => Gamma is valid in X's inverse (`consequence._inverse`).  An
+X=~Y+ route decides Y on ~Gamma => ~Delta, an X=~Y- route Y's inverse on
+the negation dual ~Delta => ~Gamma.  The others decide the product or sum
+that defines X without building a witness.  An ST+ product route checks
+the K3-DNF connector of the premises on its rails, a closure of their
+strict set; a TS- product route is that check with the sides swapped.  A
+TS+ sum route is the constant test, since the relative sum is the
+antitheorems of one side plus the theorems of the other, which the
+all-1/2 valuation decides; an ST- sum route is that test on the inverse.
 
 The X=~Y routes build no dual.  Let v' be v with each variable's value
 x replaced by 1 - x.  Then `op_dual(f)` at v is `~f` at v', since the
@@ -32,10 +32,11 @@ so a route returns only the membership bit.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable
 
 from .formula import And, Bot, Formula, Inference, Not, Or, Top, Var, BOT, TOP, invert
-from .consequence import STANDARDS, _decide, antivalid, valid
+from .consequence import STANDARDS, _decide, _inverse, antivalid, valid
 from .decomposition import _constant_witness, _k3_lp_product, st_minus_sum_decision
 
 
@@ -126,10 +127,11 @@ ROUTES = (
 
 def _route(identity: str) -> Callable[[Inference], bool]:
     target, rhs = identity.split("=")
-    if len(rhs) == 4:  # ~Y: inf is in X exactly when ~Gamma => ~Delta is in Y (module docstring)
-        logic, anti = STANDARDS[rhs[1:3]], rhs[3] == "-"
-        return lambda inf: _decide(logic, tuple(map(Not, inf.premises)), tuple(map(Not, inf.conclusions)),
-                                   inf.atoms(), anti).valid
+    if len(rhs) == 4:  # ~Y+ is Y of ~Gamma => ~Delta, ~Y- Y's inverse of ~Delta => ~Gamma (module docstring)
+        logic, sides = STANDARDS[rhs[1:3]], attrgetter("premises", "conclusions")
+        if rhs[3] == "-":
+            logic, sides = _inverse(logic), attrgetter("conclusions", "premises")
+        return lambda inf: _decide(logic, *(tuple(map(Not, side)) for side in sides(inf)), inf.atoms()).valid
     return _PRODUCT_OR_SUM[target]
 
 

@@ -578,6 +578,11 @@ class TestSharedWalks:
         assert milne_interpolant(parse_formula("p | (q & ~q)"), parse_formula("p & (r | ~r)")) == Var("p")
         assert len(walks) == 2  # the classical reasons, then the strict masks
 
+    def test_st_minus_sum_makes_no_decision(self, monkeypatch):
+        monkeypatch.setattr(consequence, "_decide", self._refuse)  # the TS sum's constant test of the inverse
+        assert st_minus_sum_decision(parse_sequent("q => p & F"))
+        assert not st_minus_sum_decision(parse_sequent("p => p"))
+
 
 class TestAntivalidityDecompositions:
     def test_st_minus_examples(self):

@@ -18,7 +18,7 @@ from mixcons.formula import (
     print_formula,
     print_sequent,
 )
-from mixcons.consequence import K3, LP, ST, TS, STANDARDS, antivalid, valid
+from mixcons.consequence import K3, LP, ST, TS, STANDARDS, LogicStandard, antivalid, valid
 from mixcons.decomposition import ProductWitness, st_connecting_formula, ts_minus_product_decision
 from mixcons.duality import (
     ROUTES,
@@ -132,14 +132,30 @@ class TestOperationalDualityPropositions:
         assert valid(TS, inf).valid == valid(TS, dual).valid
 
 
+# The oracle's corrupted ST (TS's sets under ST's name) is not one of the four
+# standards: its inverse swaps its own sets, not ST's.
+CORRUPTED_ST = LogicStandard("ST", TS.premise_designated, TS.conclusion_designated)
+INVERSES = (
+    (K3, K3), (LP, LP), (ST, TS), (TS, ST),
+    (CORRUPTED_ST, LogicStandard("ST", CORRUPTED_ST.conclusion_designated, CORRUPTED_ST.premise_designated)),
+)
+
+
 class TestStructuralDuality:
-    @given(inferences)
+    @given(wide_inferences)
     def test_valid_iff_inverse_antivalid(self, inf):
+        """Gamma => Delta is X-antivalid exactly when Delta => Gamma is valid
+        in X with its two sets swapped, with the same countermodel in the same
+        key order (`Valuation` equality ignores the order).  A `BLOCK` of 2
+        makes the walks cross blocks and chunks."""
         inverse = invert(inf)
-        assert valid(ST, inf).valid == antivalid(TS, inverse).valid
-        assert valid(TS, inf).valid == antivalid(ST, inverse).valid
-        assert valid(K3, inf).valid == antivalid(K3, inverse).valid
-        assert valid(LP, inf).valid == antivalid(LP, inverse).valid
+        for block in (2, semantics.BLOCK):
+            with mock.patch.object(semantics, "BLOCK", block):
+                for logic, dual in INVERSES:
+                    anti, direct = antivalid(logic, inf), valid(dual, inverse)
+                    assert anti == direct
+                    if anti.countermodel is not None:
+                        assert list(anti.countermodel.assignments) == list(direct.countermodel.assignments)
 
 
 class TestRoutes:
